@@ -1,12 +1,15 @@
 """Micro-benchmarks of the distributed primitives underlying every score:
-the wide scan pass, the joint contingency, and one MCIMR run at SF=0.1.
-These isolate the per-iteration Spark cost that Figs 4–6 sweep."""
+candidate binning, the wide scan pass, the joint contingency, and one MCIMR
+run at SF=0.1. These isolate the per-iteration Spark cost that Figs 4–6
+sweep."""
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.core import mesa as mesa_module
 from repro.core.contingency import joint_counts, scan_counts
 from repro.core.mcimr import mcimr
 from repro.core.mesa import Mesa, MesaConfig
+from repro.core.query import ensure_binned
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 
@@ -21,6 +24,36 @@ def prepared(spark, scale):
     prep.df.count()
     yield prep
     prep.df.unpersist()
+
+
+@pytest.fixture(scope="module")
+def pre_binning(spark, scale):
+    """``(frame, candidates, bins)`` that ``Mesa.prepare`` hands to
+    ``ensure_binned`` for SO Q1: the integrated, not yet binned frame on its
+    uncached lineage (KG broadcast joins included)."""
+    ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk)
+    cq = get_query("SO", "Q1")
+    calls = []
+
+    def record(df, cols, **kwargs):
+        calls.append((df, list(cols), kwargs["bins"]))
+        return ensure_binned(df, cols, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesa_module, "ensure_binned", record)
+        prep = Mesa(spark, MesaConfig(k=scale.k, ipw=False)).prepare(
+            ds.df, cq.query, ds.kg, ds.extraction_cols
+        )
+    prep.df.unpersist()
+    # The first call bins the outcome; the last bins every candidate.
+    return calls[-1]
+
+
+@pytest.mark.benchmark(group="primitives")
+def bench_ensure_binned(benchmark, pre_binning):
+    df, cands, bins = pre_binning
+    _, mapping = benchmark(ensure_binned, df, cands, bins=bins)
+    assert set(mapping) == set(cands)
 
 
 @pytest.mark.benchmark(group="primitives")

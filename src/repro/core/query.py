@@ -10,7 +10,11 @@ Numeric attributes are analyzed *binned* (the paper assumes binned
 numerics). ``bin_numeric`` produces quantile bins as a Catalyst ``CASE``
 chain so the pass stays in the optimizer; ``ensure_binned`` is the
 convenience used throughout: categorical and small-domain columns pass
-through untouched, numeric columns get a ``__b`` sibling.
+through untouched, numeric columns get a ``__b`` sibling. It finds every
+column's distinct count and quantile edges in one fused aggregation
+(``approx_count_distinct`` + ``percentile_approx`` per column), so a call
+costs one Spark aggregation however many columns it bins; each column's
+``CASE`` chain is then built from the collected edges on the driver.
 """
 from __future__ import annotations
 
@@ -95,10 +99,17 @@ def is_numeric(df: DataFrame, col: str) -> bool:
     return isinstance(df.schema[col].dataType, _NUMERIC_TYPES)
 
 
-def quantile_edges(df: DataFrame, col: str, bins: int) -> list[float]:
-    """Interior quantile cut points (deduplicated) for ``col``."""
-    probs = [i / bins for i in range(1, bins)]
-    qs = df.where(F.col(col).isNotNull()).approxQuantile(col, probs, 0.001)
+#: ``percentile_approx`` accuracy matching ``approxQuantile``'s
+#: ``relativeError=0.001`` (accuracy = 1 / relativeError).
+_QUANTILE_ACCURACY = 1000
+
+
+def _probs(bins: int) -> list[float]:
+    return [i / bins for i in range(1, bins)]
+
+
+def _dedup(qs: Sequence[float]) -> list[float]:
+    """Strictly increasing edges from sorted quantiles."""
     edges: list[float] = []
     for q in qs:
         if not edges or q > edges[-1]:
@@ -106,16 +117,30 @@ def quantile_edges(df: DataFrame, col: str, bins: int) -> list[float]:
     return edges
 
 
+def quantile_edges(df: DataFrame, col: str, bins: int) -> list[float]:
+    """Interior quantile cut points (deduplicated) for ``col``."""
+    qs = df.where(F.col(col).isNotNull()).approxQuantile(col, _probs(bins), 0.001)
+    return _dedup(qs)
+
+
 def bin_numeric(
-    df: DataFrame, col: str, *, bins: int = 8, out: str | None = None
+    df: DataFrame,
+    col: str,
+    *,
+    bins: int = 8,
+    out: str | None = None,
+    edges: Sequence[float] | None = None,
 ) -> DataFrame:
     """Add an integer quantile-bin column for ``col`` (nulls stay null).
 
     The bin assignment is a ``CASE`` chain over the approx-quantile edges,
-    evaluated inside Catalyst — no Python-side row work.
+    evaluated inside Catalyst — no Python-side row work. ``edges`` are
+    precomputed interior cut points (as ``ensure_binned`` passes them);
+    without them this runs one ``quantile_edges`` job.
     """
     out = out or col + BIN_SUFFIX
-    edges = quantile_edges(df, col, bins)
+    if edges is None:
+        edges = quantile_edges(df, col, bins)
     expr: Column = F.lit(len(edges))
     for i in reversed(range(len(edges))):
         expr = F.when(F.col(col) <= F.lit(edges[i]), F.lit(i)).otherwise(expr)
@@ -137,19 +162,30 @@ def ensure_binned(
     column`` (identity for categoricals, ``col__b`` for binned numerics).
     Numeric columns whose observed domain is already ≤ ``bins`` distinct
     values are treated as categorical codes and passed through.
+
+    Distinct counts and quantile edges of all numeric columns come from a
+    single aggregation; NaN is excluded from the edges like null.
     """
-    mapping: dict[str, str] = {}
     numeric = [c for c in cols if is_numeric(df, c)]
-    small: set[str] = set()
+    edges: dict[str, list[float]] = {}
     if numeric:
-        distinct = df.agg(
-            *[F.approx_count_distinct(c).alias(c) for c in numeric]
-        ).collect()[0]
-        small = {c for c in numeric if distinct[c] <= bins}
+        probs = _probs(bins)
+        aggs: list[Column] = []
+        for c in numeric:
+            x = F.col(c).cast("double")
+            aggs.append(F.approx_count_distinct(c))
+            aggs.append(
+                F.percentile_approx(F.when(~F.isnan(x), x), probs, _QUANTILE_ACCURACY)
+            )
+        row = df.agg(*aggs).collect()[0]
+        for i, c in enumerate(numeric):
+            if row[2 * i] > bins:
+                edges[c] = _dedup(row[2 * i + 1])
+    mapping: dict[str, str] = {}
     for c in cols:
-        if c in small or not is_numeric(df, c):
-            mapping[c] = c
-        else:
-            df = bin_numeric(df, c, bins=bins)
+        if c in edges:
+            df = bin_numeric(df, c, bins=bins, edges=edges[c])
             mapping[c] = c + BIN_SUFFIX
+        else:
+            mapping[c] = c
     return df, mapping

@@ -1,4 +1,8 @@
 """AggQuery execution (oracle-checked) and numeric binning."""
+import uuid
+from decimal import Decimal
+
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -142,3 +146,109 @@ class TestBinning:
         # l_linenumber has 7 distinct values <= bins=8: keep as-is.
         _, mapping = ensure_binned(li, ["l_linenumber"], bins=8)
         assert mapping["l_linenumber"] == "l_linenumber"
+
+
+def _bins_of(df, col, bins):
+    """``col``'s bin column (mapped name) from ``ensure_binned``, row-aligned
+    with ``col`` via an explicit id ordering."""
+    out, mapping = ensure_binned(df, [col], bins=bins)
+    return out.orderBy("id").select(col, mapping[col]).toPandas()
+
+
+class TestFusedBinning:
+    """``ensure_binned`` computes all distinct counts and edges in one pass."""
+
+    def test_one_job_for_all_columns(self, spark):
+        rng = np.random.default_rng(3)
+        n = 400
+        df = spark.createDataFrame(
+            pd.DataFrame(
+                {
+                    "w1": rng.normal(size=n),
+                    "w2": rng.integers(0, 10_000, n),
+                    "w3": rng.exponential(size=n),
+                    "small": rng.integers(0, 4, n),
+                    "cat": rng.choice(["a", "b", "c"], n),
+                }
+            )
+        )
+        cols = ["w1", "w2", "w3", "small", "cat"]
+        sc = spark.sparkContext
+        group = f"ensure-binned-{uuid.uuid4().hex}"
+        # Adaptive execution submits each shuffle stage as its own job; with
+        # it off, one aggregation is exactly one job.
+        aqe = spark.conf.get("spark.sql.adaptive.enabled")
+        spark.conf.set("spark.sql.adaptive.enabled", "false")
+        sc.setJobGroup(group, "ensure_binned one-pass check")
+        try:
+            out, mapping = ensure_binned(df, cols, bins=8)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+            spark.conf.set("spark.sql.adaptive.enabled", aqe)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        assert mapping == {
+            "w1": "w1__b",
+            "w2": "w2__b",
+            "w3": "w3__b",
+            "small": "small",
+            "cat": "cat",
+        }
+        assert {"w1__b", "w2__b", "w3__b"} <= set(out.columns)
+        assert "small__b" not in out.columns and "cat__b" not in out.columns
+
+    def test_all_null_numeric_passes_through(self, spark):
+        df = spark.createDataFrame(
+            [(float(i), None) for i in range(50)], "x double, empty double"
+        )
+        out, mapping = ensure_binned(df, ["x", "empty"], bins=4)
+        assert mapping == {"x": "x__b", "empty": "empty"}
+        assert out.select("x__b").distinct().count() == 4
+
+    def test_nan_excluded_from_edges_and_binned_null(self, spark):
+        # 80 finite values and 20 NaN: NaN-free quartiles cut 1..80 into
+        # four bins of 20. Counting NaN (Spark sorts it above every number)
+        # would put the edges at 25/50/75.
+        vals = [float(v) for v in range(1, 81)] + [float("nan")] * 20
+        df = spark.createDataFrame(list(enumerate(vals)), "id long, x double")
+        pdf = _bins_of(df, "x", 4)
+        nan = pdf["x"].isna()
+        assert pdf.loc[nan, "x__b"].isna().all()
+        assert pdf.loc[~nan, "x__b"].value_counts().sort_index().tolist() == [20] * 4
+
+    @pytest.mark.parametrize("dtype", ["int", "long", "decimal(12,2)"])
+    def test_integral_and_decimal_bin_like_per_column_path(self, spark, dtype):
+        # Below the sketch's compression threshold both the fused pass and
+        # the per-column approxQuantile path are exact, so the bins match.
+        rng = np.random.default_rng(5)
+        raw = rng.integers(-5_000, 5_000, 600).tolist()
+        vals = [Decimal(v) / 100 for v in raw] if dtype.startswith("decimal") else raw
+        df = spark.createDataFrame(list(enumerate(vals)), f"id long, x {dtype}")
+        fused = _bins_of(df, "x", 8)
+        per_column = (
+            bin_numeric(df, "x", bins=8).orderBy("id").select("x__b").toPandas()
+        )
+        assert fused["x__b"].tolist() == per_column["x__b"].tolist()
+
+    def test_edges_within_rank_error_of_exact_quantiles(self, spark):
+        # Large enough for the quantile sketch to compress and merge
+        # partitions, so the edges are approximate.
+        rng = np.random.default_rng(7)
+        n, bins = 30_000, 8
+        pdf = pd.DataFrame(
+            {"id": np.arange(n), "a": rng.normal(size=n), "b": rng.pareto(2.0, n)}
+        )
+        df = spark.createDataFrame(pdf).repartition(4)
+        out, mapping = ensure_binned(df, ["a", "b"], bins=bins)
+        for c in ("a", "b"):
+            # Edges are data values and bins are right-closed, so each
+            # edge is the largest value of its bin.
+            edges = (
+                out.groupBy(mapping[c]).agg(F.max(c).alias("mx"))
+                .orderBy(mapping[c]).toPandas()["mx"].tolist()[:-1]
+            )
+            assert len(edges) == bins - 1
+            exact = np.sort(pdf[c].to_numpy())
+            for i, e in enumerate(edges, start=1):
+                rank = np.searchsorted(exact, e, side="right") / n
+                assert abs(rank - i / bins) <= 0.001 + 1 / n, (c, i, e)
