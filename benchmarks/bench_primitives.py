@@ -1,7 +1,9 @@
-"""Micro-benchmarks of the distributed primitives underlying every score:
-candidate binning, the wide scan pass, the joint contingency, and one MCIMR
-run at SF=0.1. These isolate the per-iteration Spark cost that Figs 4–6
-sweep."""
+"""Micro-benchmarks of the primitives underlying every score: candidate
+binning (Spark), the scan and the joint contingency on the coded table, one
+MCIMR run and one ``explain_prepared`` (driver only). These isolate the
+per-stage cost that Figs 4–6 sweep."""
+import uuid
+
 import pytest
 
 from benchmarks.conftest import run_once
@@ -59,7 +61,7 @@ def bench_ensure_binned(benchmark, pre_binning):
 @pytest.mark.benchmark(group="primitives")
 def bench_scan_pass(benchmark, prepared):
     scan = benchmark(
-        scan_counts, prepared.df, [prepared.o_bin, prepared.t], prepared.candidates
+        scan_counts, prepared.table, [prepared.o_bin, prepared.t], prepared.candidates
     )
     assert len(scan) == len(prepared.candidates)
 
@@ -67,8 +69,28 @@ def bench_scan_pass(benchmark, prepared):
 @pytest.mark.benchmark(group="primitives")
 def bench_joint_contingency(benchmark, prepared):
     cols = [prepared.o_bin, prepared.t, *prepared.candidates[:3]]
-    pdf = benchmark(joint_counts, prepared.df, cols)
+    pdf = benchmark(joint_counts, prepared.table, cols)
     assert len(pdf) > 0
+
+
+@pytest.mark.benchmark(group="primitives")
+def bench_explain_prepared(benchmark, spark, scale):
+    """SO Q1 ``explain_prepared`` (IPW on) on a prepared query: no Spark job."""
+    ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk)
+    cq = get_query("SO", "Q1")
+    mesa = Mesa(spark, MesaConfig(k=scale.k))
+    prep = mesa.prepare(ds.df, cq.query, ds.kg, ds.extraction_cols)
+    sc = spark.sparkContext
+    group = f"bench-explain-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "bench_explain_prepared")
+    try:
+        res = benchmark(mesa.explain_prepared, prep)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+        prep.df.unpersist()
+    assert res.explanation
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
 
 
 @pytest.mark.benchmark(group="primitives")

@@ -5,10 +5,10 @@ then smaller set, then lexicographic). The paper runs it only on the small
 datasets (Covid-19, Forbes) — it is deliberately infeasible at scale, and
 serves as the gold standard for explainability scores.
 
-Implementation: one projection of the analysis columns is collected to the
-driver (guarded by ``max_rows``), then every subset's contingency is a
-pandas groupby. Complete cases are taken per subset, matching the
-estimator semantics of the distributed path.
+Implementation: the analysis columns are collected to the driver once as a
+coded table (guarded by ``max_rows``), then every subset's contingency is a
+``joint_counts`` call on it. Complete cases are taken per subset, matching
+the estimator semantics of MESA.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ import itertools
 import time
 from dataclasses import dataclass
 
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
+from repro.core.contingency import CodedTable, as_table, joint_counts
 from repro.core.info_theory import CNT, cmi_from_counts
 
 
@@ -33,31 +32,20 @@ class BruteForceResult:
     seconds: float
 
 
-def _contingency(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    sub = pdf[cols].dropna()
-    out = sub.groupby(cols, observed=True).size().reset_index(name=CNT)
-    out[CNT] = out[CNT].astype(float)
-    return out
-
-
 def _subset_score(
-    pdf: pd.DataFrame, o_bin: str, t: str, combo: tuple[str, ...], base: float
+    table: CodedTable, o_bin: str, t: str, combo: tuple[str, ...], base: float
 ) -> float:
     """Support-aware I(O;T|E) for a subset — same estimator as
     ``repro.core.mcimr.individual_scores``, generalized to sets: the
     explanatory drop is measured on the subset's own complete-case support
     and weighted by the support share, so sparse subsets cannot win with a
     degenerate near-empty contingency."""
-    sub = pdf[[o_bin, t, *combo]].dropna()
-    if sub.empty:
+    cont = joint_counts(table, [o_bin, t, *combo])
+    if cont.empty:
         return base
-    cont = sub.groupby([o_bin, t, *combo], observed=True).size().reset_index(
-        name=CNT
-    )
-    cont[CNT] = cont[CNT].astype(float)
     base_s = cmi_from_counts(cont, o_bin, t)
     cond = cmi_from_counts(cont, o_bin, t, list(combo))
-    share = len(sub) / len(pdf)
+    share = float(cont[CNT].sum()) / table.n_rows
     return max(0.0, base - share * max(0.0, base_s - cond))
 
 
@@ -82,15 +70,14 @@ def brute_force(
     if n > max_rows:
         raise ValueError(f"brute force on {n} rows exceeds cap {max_rows}")
     start = time.perf_counter()
-    cols = [o_bin, t, *candidates]
-    pdf = df.select(*[F.col(c).cast("string").alias(c) for c in cols]).toPandas()
-    base = cmi_from_counts(_contingency(pdf, [o_bin, t]), o_bin, t)
+    table = as_table(df, [o_bin, t, *candidates])
+    base = cmi_from_counts(joint_counts(table, [o_bin, t]), o_bin, t)
     best: tuple | None = None
     n_subsets = 0
     for size in range(1, k + 1):
         for combo in itertools.combinations(sorted(candidates), size):
             n_subsets += 1
-            cmi = _subset_score(pdf, o_bin, t, combo, base)
+            cmi = _subset_score(table, o_bin, t, combo, base)
             key = (cmi * size, cmi, size, combo)
             if best is None or key < best:
                 best = key

@@ -22,13 +22,10 @@ from typing import Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
-from repro.core.contingency import VAL_COL, scan_counts
-from pyspark.sql import functions as F
-
+from repro.core.contingency import VAL_COL, Data, as_table, joint_counts, scan_counts
 from repro.core.info_theory import CNT, cmi_from_counts, mi_from_counts
-from repro.core.mcimr import conditional_cmi
+from repro.core.mcimr import conditional_cmi, weight_cols
 
 
 @dataclass
@@ -43,7 +40,7 @@ class HypDBResult:
 
 
 def hypdb(
-    df: DataFrame,
+    df: Data,
     candidates: list[str],
     *,
     o_bin: str,
@@ -63,10 +60,12 @@ def hypdb(
         dropped = len(candidates) - max_attrs
         candidates = [candidates[i] for i in sorted(keep)]
         scan = None  # the precomputed scan may cover a different set
+    table = as_table(df, [o_bin, t, *candidates], weight_cols(candidates, weights))
     if scan is None:
-        scan = scan_counts(df, [o_bin, t], candidates, weights)
-    base = conditional_cmi(df, o_bin, t, [], weights)
-    n_total = float(df.where(F.col(o_bin).isNotNull() & F.col(t).isNotNull()).count())
+        scan = scan_counts(table, [o_bin, t], candidates, weights)
+    base_pdf = joint_counts(table, [o_bin, t])
+    base = cmi_from_counts(base_pdf, o_bin, t)
+    n_total = float(base_pdf[CNT].sum())
     confounders: list[str] = []
     delta: dict[str, float] = {}
     for a in candidates:
@@ -91,7 +90,7 @@ def hypdb(
             delta[a] = share * drop
     ranked = sorted(confounders, key=lambda a: (-delta[a], a))
     selected = [a for a in ranked if delta[a] > 0][:k]
-    final = conditional_cmi(df, o_bin, t, selected, weights) if selected else base
+    final = conditional_cmi(table, o_bin, t, selected, weights) if selected else base
     return HypDBResult(
         selected=selected,
         confounders=confounders,

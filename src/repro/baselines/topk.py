@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import pandas as pd
-from pyspark.sql import DataFrame
 
-from repro.core.contingency import joint_counts, scan_counts
-from repro.core.info_theory import cmi_from_counts
-from repro.core.mcimr import conditional_cmi, individual_scores
+from repro.core.contingency import Data, as_table, joint_counts, scan_counts
+from repro.core.info_theory import CNT, cmi_from_counts
+from repro.core.mcimr import conditional_cmi, individual_scores, weight_cols
 
 
 @dataclass
@@ -28,7 +27,7 @@ class TopKResult:
 
 
 def top_k(
-    df: DataFrame,
+    df: Data,
     candidates: list[str],
     *,
     o_bin: str,
@@ -38,16 +37,11 @@ def top_k(
     scan: dict[str, pd.DataFrame] | None = None,
 ) -> TopKResult:
     start = time.perf_counter()
+    table = as_table(df, [o_bin, t, *candidates], weight_cols(candidates, weights))
     if scan is None:
-        scan = scan_counts(df, [o_bin, t], candidates, weights)
-    from repro.core.info_theory import CNT
-
-    base_pdf = joint_counts(df, [o_bin, t])
-    base = (
-        cmi_from_counts(base_pdf, o_bin, t)
-        if not weights
-        else conditional_cmi(df, o_bin, t, [], weights)
-    )
+        scan = scan_counts(table, [o_bin, t], candidates, weights)
+    base_pdf = joint_counts(table, [o_bin, t])
+    base = cmi_from_counts(base_pdf, o_bin, t)
     # Same support-aware individual score as MCIMR's MCI term (see the
     # estimator note in repro.core.mcimr.individual_scores) — Top-K differs
     # from MESA only by ignoring redundancy and the stopping criterion.
@@ -60,7 +54,7 @@ def top_k(
     )
     ranked = sorted(v1, key=lambda a: (v1[a], a))
     selected = ranked[:k]
-    final = conditional_cmi(df, o_bin, t, selected, weights) if selected else base
+    final = conditional_cmi(table, o_bin, t, selected, weights) if selected else base
     return TopKResult(
         selected=selected,
         individual_cmi=v1,

@@ -1,151 +1,297 @@
-"""Distributed contingency-table passes.
+"""Contingency tables over a dictionary-coded table on the driver.
 
-These are the only places the reproduction touches ``|D|``-sized data: every
-information-theoretic score in MESA is computed from the output of one of
-these Spark aggregations. Two shapes:
+Every information-theoretic score in MESA is computed from a contingency
+frame produced here. The estimators only ever read contingencies bounded by
+attribute domains, so Spark prepares the analysis frame and **one** Arrow
+collect brings its analysis columns to the driver as a :class:`CodedTable`:
+each value column becomes small-int codes plus its label dictionary, each
+IPW weight column a ``float64`` array. Counting is numpy over a mixed-radix
+key of the codes (``np.bincount``, weighted where asked), so MCIMR, pruning,
+responsibility and subgroup scoring run no Spark job. Memory is bounded by
+rows × analysis columns × code width (1–4 bytes).
+
+Three shapes:
 
 ``joint_counts``
-    ``groupBy(cols).agg(sum(weight))`` — the joint distribution of an
-    explicit column set (used for multi-attribute conditioning sets:
-    brute force, responsibility, subgroup scores, the responsibility test).
+    the (weighted) joint distribution of an explicit column set (multi-
+    attribute conditioning sets: responsibility, final CMI, subgroup scores,
+    the responsibility test).
 
 ``scan_counts``
-    the wide-to-long pass: ``stack`` all candidate attributes into
-    ``(attr, val, w)`` rows and ``groupBy(attr, val, *fixed)`` — ONE shuffle
-    yields, for *every* candidate simultaneously, its joint distribution
-    with the fixed columns (O and T for the MCI scores and pruning tests;
-    the last selected attribute for MCIMR's redundancy term). This is the
-    dataflow the repro band asks for: candidate attribute sources joined to
-    the query result, correlation scores via aggregation.
+    for *every* candidate attribute, its joint distribution with the fixed
+    columns (O and T for the MCI scores and pruning tests; the last selected
+    attribute for MCIMR's redundancy term).
 
-Attribute values are cast to string inside the long pass (mixed candidate
-types share one ``val`` column); null values — incomplete cases for that
-attribute — are dropped per-attribute, which is exactly the complete-case
-semantics the IPW weights correct for.
+``group_sizes``
+    the sizes of all single-assignment groups ``attr = val``.
+
+Each accepts a :class:`CodedTable` or a Spark ``DataFrame``; a DataFrame is
+converted at entry by one projection collect of the columns the call reads.
+
+Labels equal Spark's ``cast("string")`` of the value (integral and string
+columns are collected natively and labelled exactly as Spark would print
+them; every other type is cast in Spark). Null values — incomplete cases for
+that attribute — are dropped per attribute, which is exactly the
+complete-case semantics the IPW weights correct for. A null weight counts
+as 1.
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+import pyarrow.compute as pc
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.info_theory import CNT
 
 ATTR_COL = "__attr"
 VAL_COL = "__val"
-W_COL = "__w"
+
+#: Spark types collected natively: their Python ``str`` equals Spark's cast
+_NATIVE_TYPES = (
+    T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.StringType,
+)
+#: a mixed-radix key space of at most this many cells, or four per row, is
+#: counted by direct ``bincount``; larger spaces are sorted by ``np.unique``
+_DENSE_CELLS = 1 << 16
+
+
+def _code_dtype(n_labels: int) -> type:
+    for dt in (np.int8, np.int16, np.int32):
+        if n_labels <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
+@dataclass(frozen=True)
+class CodedTable:
+    """Analysis columns on the driver: codes, labels and weights.
+
+    ``codes[c][i]`` indexes ``labels[c]`` (``-1`` marks null);
+    ``weights[w]`` is a float64 weight column with nulls set to 1.
+    """
+
+    codes: Mapping[str, np.ndarray]
+    labels: Mapping[str, np.ndarray]
+    weights: Mapping[str, np.ndarray]
+    n_rows: int
+
+    @classmethod
+    def collect(
+        cls,
+        df: DataFrame,
+        cols: Sequence[str],
+        weight_cols: Sequence[str] = (),
+    ) -> "CodedTable":
+        """Code ``cols`` and ``weight_cols`` of ``df`` with one collect."""
+        cols = list(dict.fromkeys(cols))
+        weight_cols = [w for w in dict.fromkeys(weight_cols) if w not in cols]
+        schema = df.schema
+        proj = [
+            F.col(c)
+            if isinstance(schema[c].dataType, _NATIVE_TYPES)
+            else F.col(c).cast("string").alias(c)
+            for c in cols
+        ] + [F.col(w).cast("double").alias(w) for w in weight_cols]
+        tbl = df.select(*proj).toArrow()
+        codes: dict[str, np.ndarray] = {}
+        labels: dict[str, np.ndarray] = {}
+        for c in cols:
+            enc = pc.dictionary_encode(tbl.column(c).combine_chunks())
+            labels[c] = np.array(
+                [str(v) for v in enc.dictionary.to_pylist()], dtype=object
+            )
+            codes[c] = (
+                pc.fill_null(enc.indices, -1)
+                .to_numpy(zero_copy_only=False)
+                .astype(_code_dtype(len(labels[c])))
+            )
+        weights = {
+            w: pc.fill_null(tbl.column(w).combine_chunks(), 1.0).to_numpy(
+                zero_copy_only=False
+            )
+            for w in weight_cols
+        }
+        return cls(codes, labels, weights, tbl.num_rows)
+
+    def where(self, mask: np.ndarray) -> "CodedTable":
+        """The rows where ``mask`` holds."""
+        return CodedTable(
+            {c: v[mask] for c, v in self.codes.items()},
+            self.labels,
+            {w: v[mask] for w, v in self.weights.items()},
+            int(np.count_nonzero(mask)),
+        )
+
+    def mask(self, conds: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Rows satisfying every ``attr = label`` condition."""
+        keep = np.ones(self.n_rows, dtype=bool)
+        for a, v in conds:
+            hit = np.flatnonzero(self.labels[a] == v)
+            keep &= self.codes[a] == (hit[0] if len(hit) else -2)
+        return keep
+
+    def with_weight(self, name: str, values: np.ndarray) -> "CodedTable":
+        """The same rows with one more weight column."""
+        return CodedTable(
+            self.codes, self.labels, {**self.weights, name: values}, self.n_rows
+        )
+
+
+Data = Union[DataFrame, CodedTable]
+
+
+def as_table(
+    data: Data, cols: Sequence[str], weight_cols: Sequence[str] = ()
+) -> CodedTable:
+    """``data`` itself if already coded, else one collect of the columns."""
+    if isinstance(data, CodedTable):
+        return data
+    return CodedTable.collect(data, cols, weight_cols)
+
+
+def _cells(
+    codes: list[np.ndarray], sizes: list[int], w: np.ndarray | None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Group rows (all codes observed) by their code combination.
+
+    Returns each column's code per non-empty cell, and the cell totals
+    (row counts, or sums of ``w``), cells in mixed-radix key order.
+    """
+    n_cells = math.prod(sizes)
+    if n_cells >= 1 << 62:  # the key would overflow int64
+        stacked = np.stack(codes, axis=1)
+        uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
+        tot = np.bincount(inv.ravel(), weights=w, minlength=len(uniq))
+        return [uniq[:, i] for i in range(len(sizes))], tot.astype(np.float64)
+    key = np.zeros(len(codes[0]), dtype=np.int64)
+    for c, k in zip(codes, sizes):
+        key *= k
+        key += c
+    if n_cells <= max(_DENSE_CELLS, 4 * len(key)):
+        rows = np.bincount(key, minlength=n_cells)
+        cells = np.flatnonzero(rows)
+        tot = rows if w is None else np.bincount(key, weights=w, minlength=n_cells)
+        tot = tot[cells]
+    else:
+        cells, inv = np.unique(key, return_inverse=True)
+        tot = np.bincount(inv, weights=w, minlength=len(cells))
+    out = []
+    for k in reversed(sizes):
+        cells, c = np.divmod(cells, k)
+        out.append(c)
+    return out[::-1], tot.astype(np.float64)
+
+
+def _frame(
+    table: CodedTable,
+    names: Sequence[str],
+    cols: Sequence[str],
+    keep: np.ndarray,
+    w: np.ndarray | None,
+) -> pd.DataFrame:
+    """Contingency of ``cols`` over the rows in ``keep``, the value columns
+    named ``names``."""
+    if not keep.any():
+        return _empty(names)
+    codes = [table.codes[c][keep] for c in cols]
+    sizes = [len(table.labels[c]) for c in cols]
+    cell_codes, tot = _cells(codes, sizes, None if w is None else w[keep])
+    data = {n: table.labels[c][k] for n, c, k in zip(names, cols, cell_codes)}
+    data[CNT] = tot
+    return pd.DataFrame(data)
+
+
+def _empty(names: Sequence[str]) -> pd.DataFrame:
+    return pd.DataFrame(
+        {**{n: pd.Series(dtype=object) for n in names}, CNT: pd.Series(dtype=float)}
+    )
+
+
+def _observed(table: CodedTable, cols: Sequence[str]) -> np.ndarray:
+    keep = np.ones(table.n_rows, dtype=bool)
+    for c in cols:
+        keep &= table.codes[c] >= 0
+    return keep
 
 
 def joint_counts(
-    df: DataFrame,
+    df: Data,
     cols: Sequence[str],
     weight_col: str | None = None,
-    *,
-    dropna: bool = True,
 ) -> pd.DataFrame:
-    """Collect the (weighted) joint contingency of ``cols`` as pandas.
+    """The (weighted) joint contingency of ``cols`` as pandas.
 
-    ``dropna=True`` keeps complete cases only (rows with no null in any of
-    ``cols``), matching the complete-case analysis the estimators assume.
-    Values are cast to string so heterogeneous bin/category types compare
-    stably on the driver.
+    Complete cases only (rows with no null in any of ``cols``), matching the
+    complete-case analysis the estimators assume. Values are the string
+    labels, so heterogeneous bin/category types compare stably.
     """
     cols = list(cols)
-    sel = df
-    if dropna:
-        for c in cols:
-            sel = sel.where(F.col(c).isNotNull())
-    proj = [F.col(c).cast("string").alias(c) for c in cols]
-    agg = (
-        F.sum(F.col(weight_col)).alias(CNT)
-        if weight_col
-        else F.count(F.lit(1)).cast("double").alias(CNT)
-    )
-    pdf = sel.select(*proj, *( [F.col(weight_col)] if weight_col else [] )) \
-        .groupBy(cols).agg(agg).toPandas()
-    pdf[CNT] = pdf[CNT].astype(float)
-    return pdf
-
-
-def _stack_expr(
-    candidates: Sequence[str], weights: Mapping[str, str] | None
-) -> Column:
-    """Build the ``stack`` expression turning candidate columns into
-    ``(attr, val, w)`` long rows. Weighted attributes contribute their IPW
-    weight column; the rest contribute weight 1."""
-    parts: list[Column] = []
-    for c in candidates:
-        parts.append(F.lit(c))
-        parts.append(F.col(c).cast("string"))
-        if weights and c in weights:
-            parts.append(F.col(weights[c]).cast("double"))
-        else:
-            parts.append(F.lit(1.0))
-    return F.stack(F.lit(len(candidates)), *parts).alias(ATTR_COL, VAL_COL, W_COL)
+    table = as_table(df, cols, [weight_col] if weight_col else [])
+    w = table.weights[weight_col] if weight_col else None
+    return _frame(table, cols, cols, _observed(table, cols), w)
 
 
 def scan_counts(
-    df: DataFrame,
+    df: Data,
     fixed_cols: Sequence[str],
     candidates: Sequence[str],
     weights: Mapping[str, str] | None = None,
 ) -> dict[str, pd.DataFrame]:
-    """One distributed pass producing, per candidate attribute, its joint
-    contingency with ``fixed_cols``.
+    """Per candidate attribute, its joint contingency with ``fixed_cols``.
 
     Returns ``{attr: contingency}`` where each contingency frame has columns
     ``[VAL_COL, *fixed_cols, CNT]``. Rows where the candidate is null are
     complete-case-filtered per attribute; rows where a *fixed* column is
     null are dropped globally (O/T must be observed for the query anyway).
+    A candidate with a weight column in ``weights`` is counted with it; the
+    rest count 1 per row.
     """
     if not candidates:
         return {}
     fixed_cols = list(fixed_cols)
-    sel = df
-    for c in fixed_cols:
-        sel = sel.where(F.col(c).isNotNull())
-    long_df = sel.select(
-        *[F.col(c).cast("string").alias(c) for c in fixed_cols],
-        _stack_expr(candidates, weights),
-    ).where(F.col(VAL_COL).isNotNull())
-    counts = (
-        long_df.groupBy(ATTR_COL, VAL_COL, *fixed_cols)
-        .agg(F.sum(W_COL).alias(CNT))
-        .toPandas()
-    )
-    out: dict[str, pd.DataFrame] = {}
-    for attr, grp in counts.groupby(ATTR_COL):
-        pdf = grp.drop(columns=[ATTR_COL]).reset_index(drop=True)
-        pdf[CNT] = pdf[CNT].astype(float)
-        out[attr] = pdf
-    # Attributes that are entirely null in df produce no rows; surface them
-    # with empty frames so callers see every requested candidate.
-    for c in candidates:
-        if c not in out:
-            out[c] = pd.DataFrame(columns=[VAL_COL, *fixed_cols, CNT])
-    return out
+    weights = weights or {}
+    wcols = [weights[c] for c in candidates if c in weights]
+    table = as_table(df, [*fixed_cols, *candidates], wcols)
+    fixed_keep = _observed(table, fixed_cols)
+    names = [VAL_COL, *fixed_cols]
+    return {
+        c: _frame(
+            table,
+            names,
+            [c, *fixed_cols],
+            fixed_keep & (table.codes[c] >= 0),
+            table.weights[weights[c]] if c in weights else None,
+        )
+        for c in candidates
+    }
 
 
-def group_sizes(
-    df: DataFrame, attrs: Sequence[str]
-) -> pd.DataFrame:
-    """Sizes of all single-assignment groups ``attr = val`` in one pass.
+def group_sizes(df: Data, attrs: Sequence[str]) -> pd.DataFrame:
+    """Sizes of all single-assignment groups ``attr = val``.
 
     Used by the unexplained-subgroups search (Algorithm 2) to rank the
-    children of a refinement by data-group size without one job per
-    attribute. Returns columns ``[ATTR_COL, VAL_COL, 'size']``.
+    children of a refinement by data-group size. Returns columns
+    ``[ATTR_COL, VAL_COL, 'size']``.
     """
-    if not attrs:
+    attrs = list(attrs)
+    table = as_table(df, attrs)
+    parts = []
+    for a in attrs:
+        codes = table.codes[a]
+        sizes = np.bincount(codes[codes >= 0], minlength=len(table.labels[a]))
+        hit = np.flatnonzero(sizes)
+        parts.append(
+            pd.DataFrame(
+                {ATTR_COL: a, VAL_COL: table.labels[a][hit], "size": sizes[hit]}
+            )
+        )
+    if not parts:
         return pd.DataFrame(columns=[ATTR_COL, VAL_COL, "size"])
-    long_df = df.select(_stack_expr(list(attrs), None)).where(
-        F.col(VAL_COL).isNotNull()
-    )
-    pdf = (
-        long_df.groupBy(ATTR_COL, VAL_COL)
-        .agg(F.count(F.lit(1)).alias("size"))
-        .toPandas()
-    )
-    pdf["size"] = pdf["size"].astype(int)
-    return pdf
+    return pd.concat(parts, ignore_index=True)

@@ -2,8 +2,8 @@
 
 All estimators operate on *contingency frames*: pandas DataFrames with one
 row per observed cell and a ``cnt`` column of (possibly IPW-weighted, hence
-float) counts. The contingency frames themselves are produced by distributed
-Spark aggregations in :mod:`repro.core.contingency`; everything here is
+float) counts. The contingency frames themselves are counted from the coded
+analysis table in :mod:`repro.core.contingency`; everything here is
 driver-side numpy over tables whose size is bounded by the product of binned
 attribute domains, never by ``|D|``.
 

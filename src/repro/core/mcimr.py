@@ -12,11 +12,13 @@ Eq. 1 while only ever estimating *bivariate* distributions. The
 be added is conditionally independent of O given the already-selected set,
 i.e. its responsibility would be ≤ 0; ``k`` is therefore an upper bound.
 
-Spark cost per run: one wide scan pass for all the individual CMI terms
-(shared with online pruning), one scan pass per iteration for the
-redundancy terms against the newly selected attribute, and one small
-joint-contingency job per responsibility test — independent of |A| fan-out
-on the driver.
+Cost per run: every contingency is counted on the driver from the coded
+analysis table (:mod:`repro.core.contingency`), so a run on a
+:class:`~repro.core.contingency.CodedTable` starts no Spark job; given a
+DataFrame it collects the analysis columns once. The individual CMI terms
+come from one scan (shared with online pruning), the redundancy terms from
+one scan per iteration against the newly selected attribute, and each
+responsibility test from one joint contingency.
 """
 from __future__ import annotations
 
@@ -24,11 +26,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.contingency import VAL_COL, joint_counts, scan_counts
+from repro.core.contingency import (
+    VAL_COL,
+    CodedTable,
+    Data,
+    as_table,
+    joint_counts,
+    scan_counts,
+)
 from repro.core.info_theory import (
     CNT,
     cmi_from_counts,
@@ -39,38 +47,56 @@ from repro.core.info_theory import (
 )
 
 
+def weight_cols(attrs: list[str], weights: Mapping[str, str] | None) -> list[str]:
+    """The IPW weight columns of the weighted attributes among ``attrs``."""
+    return [weights[a] for a in attrs if a in weights] if weights else []
+
+
 def combined_weight(
-    df: DataFrame, attrs: list[str], weights: Mapping[str, str] | None
-) -> tuple[DataFrame, str | None]:
+    table: CodedTable, attrs: list[str], weights: Mapping[str, str] | None
+) -> tuple[CodedTable, str | None]:
     """Product of the IPW weight columns of ``attrs`` (unit where absent).
 
     Used for multi-attribute conditioning sets (final CMI, responsibility,
     subgroup scores), where each biased attribute contributes its own
-    complete-case correction.
+    complete-case correction. Returns the table with the product added as a
+    weight column, and its name (``None``, table unchanged, when no
+    attribute is weighted).
     """
-    if not weights:
-        return df, None
-    wcols = [weights[a] for a in attrs if a in weights]
+    wcols = weight_cols(attrs, weights)
     if not wcols:
-        return df, None
-    expr = F.lit(1.0)
-    for w in wcols:
-        expr = expr * F.coalesce(F.col(w), F.lit(1.0))
+        return table, None
+    w = np.ones(table.n_rows)
+    for c in wcols:
+        w = w * table.weights[c]
     out = "__w_combined"
-    return df.withColumn(out, expr), out
+    return table.with_weight(out, w), out
 
 
 def conditional_cmi(
-    df: DataFrame,
+    df: Data,
     o_bin: str,
     t: str,
     cond: list[str],
     weights: Mapping[str, str] | None = None,
 ) -> float:
     """I(O; T | cond) on complete cases of ``cond``, IPW-weighted."""
-    dfw, wcol = combined_weight(df, cond, weights)
-    pdf = joint_counts(dfw, [o_bin, t, *cond], weight_col=wcol)
-    return cmi_from_counts(pdf, o_bin, t, cond)
+    table = as_table(df, [o_bin, t, *cond], weight_cols(cond, weights))
+    return cmi_from_counts(
+        cond_counts(table, o_bin, t, cond, weights), o_bin, t, cond
+    )
+
+
+def cond_counts(
+    table: CodedTable,
+    o_bin: str,
+    t: str,
+    cond: list[str],
+    weights: Mapping[str, str] | None,
+) -> pd.DataFrame:
+    """The (O, T, *cond) contingency weighted by cond's combined weight."""
+    table, wcol = combined_weight(table, cond, weights)
+    return joint_counts(table, [o_bin, t, *cond], weight_col=wcol)
 
 
 def individual_scores(
@@ -125,6 +151,8 @@ class ExplanationResult:
     trace: list[dict] = field(default_factory=list)
     stopped_by_responsibility: bool = False
     seconds: float = 0.0
+    #: the (O, T, *selected) contingency final_cmi was computed from
+    final_counts: pd.DataFrame | None = field(default=None, repr=False)
 
     @property
     def explainability(self) -> float:
@@ -133,7 +161,7 @@ class ExplanationResult:
 
 
 def mcimr(
-    df: DataFrame,
+    df: Data,
     candidates: list[str],
     *,
     o_bin: str,
@@ -147,14 +175,14 @@ def mcimr(
     """Run Algorithm 1. ``scan`` may carry precomputed (E, O, T)
     contingencies (shared with online pruning) to skip the first pass."""
     start = time.perf_counter()
-    if scan is None:
-        scan = scan_counts(df, [o_bin, t], candidates, weights)
-    base_pdf = joint_counts(df, [o_bin, t])
-    base_cmi = (
-        cmi_from_counts(base_pdf, o_bin, t)
-        if not weights
-        else conditional_cmi(df, o_bin, t, [], weights)
+    table = as_table(
+        df, [o_bin, t, *candidates], weight_cols(candidates, weights)
     )
+    if scan is None:
+        scan = scan_counts(table, [o_bin, t], candidates, weights)
+    # I(O;T|C) carries no weight: no attribute is conditioned on.
+    base_pdf = joint_counts(table, [o_bin, t])
+    base_cmi = cmi_from_counts(base_pdf, o_bin, t)
     n_total = float(base_pdf[CNT].sum())
     # Restrict to the candidate list — the precomputed scan may also carry
     # attributes that online pruning has since removed.
@@ -193,8 +221,8 @@ def mcimr(
             score = {a: v1[a] for a in remaining}
         best = min(remaining, key=lambda a: (score[a], a))
         # Responsibility test (Lemma 4.2): O ⟂ best | selected ⇒ Resp ≤ 0.
-        dfw, wcol = combined_weight(df, [best, *selected], weights)
-        resp_pdf = joint_counts(dfw, [o_bin, best, *selected], weight_col=wcol)
+        tw, wcol = combined_weight(table, [best, *selected], weights)
+        resp_pdf = joint_counts(tw, [o_bin, best, *selected], weight_col=wcol)
         if is_conditionally_independent(
             resp_pdf, o_bin, best, selected, alpha=alpha, eps_bits=eps_resp
         ):
@@ -206,10 +234,10 @@ def mcimr(
         selected.append(best)
         trace.append({"attr": best, "score": score[best], "action": "select"})
         # Update redundancy sums with I(E; best) for every remaining E —
-        # one scan pass with the new selection as the fixed column.
+        # one scan with the new selection as the fixed column.
         rest = [a for a in v1 if a not in selected]
         if rest and len(selected) < k:
-            red_scan = scan_counts(df, [best], rest, weights)
+            red_scan = scan_counts(table, [best], rest, weights)
             for a in rest:
                 if not red_scan[a].empty:
                     mi = mi_from_counts(red_scan[a], VAL_COL, best)
@@ -217,13 +245,14 @@ def mcimr(
                     h_a = entropy_from_counts(red_scan[a], [VAL_COL])
                     denom = min(h_a, h_best)
                     red_sum[a] += min(1.0, mi / denom) if denom > 1e-9 else 1.0
-    final_cmi = (
-        conditional_cmi(df, o_bin, t, selected, weights) if selected else base_cmi
+    final_counts = (
+        cond_counts(table, o_bin, t, selected, weights) if selected else base_pdf
     )
     return ExplanationResult(
         selected=selected,
         base_cmi=base_cmi,
-        final_cmi=final_cmi,
+        final_cmi=cmi_from_counts(final_counts, o_bin, t, selected),
+        final_counts=final_counts,
         individual_cmi=v1,
         trace=trace,
         stopped_by_responsibility=stopped,

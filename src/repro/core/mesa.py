@@ -10,8 +10,13 @@
    (broadcast left joins, prefixed per extraction column);
 4. offline-prune input-table candidates; bin numeric candidates;
 5. detect selection bias per extracted attribute and fit IPW weights;
-6. one wide scan pass → online pruning → MCIMR (sharing the pass);
+   collect the analysis columns once as a dictionary-coded table;
+6. one scan over the coded table → online pruning → MCIMR (sharing the
+   scan);
 7. responsibility ranking of the selected attributes.
+
+Stages 1–5 run in Spark; stages 6–7 count on the driver and run no Spark
+job.
 
 The result carries the explanation plus everything the experiments report:
 explainability scores, pruning/missingness statistics, and stage timings.
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.contingency import scan_counts
+from repro.core.contingency import CodedTable, scan_counts
 from repro.core.mcimr import ExplanationResult, mcimr
 from repro.core.pruning import (
     PruneReport,
@@ -87,12 +92,20 @@ def display_name(col: str) -> str:
     return col[: -len(BIN_SUFFIX)] if col.endswith(BIN_SUFFIX) else col
 
 
+class EmptyContextError(ValueError):
+    """The query context matches no rows of the input table."""
+
+
 @dataclass
 class PreparedQuery:
     """The integrated, binned, weighted frame MESA analyses — exposed so
-    baselines and experiments can reuse the identical preparation."""
+    baselines and experiments can reuse the identical preparation.
+
+    ``table`` holds the analysis columns (outcome bin, exposure, candidates)
+    and weight columns of ``df``, collected once and dictionary-coded."""
 
     df: DataFrame
+    table: CodedTable
     o_bin: str
     t: str
     candidates: list[str]  # analysis columns
@@ -119,7 +132,9 @@ class Mesa:
         exclude: set[str] | None = None,
     ) -> PreparedQuery:
         """Stages 1–5: context, extraction, integration, offline pruning,
-        binning, IPW weights. Returns a cached analysis frame."""
+        binning, IPW weights. Returns a cached analysis frame and its coded
+        analysis table; raises ``EmptyContextError`` when the context matches
+        no rows."""
         cfg = self.cfg
         timings: dict[str, float] = {}
         exclude = exclude or set()
@@ -130,6 +145,10 @@ class Mesa:
         # small contexts (Covid-19 has 188 rows; a Forbes category ~450)
         # use coarser bins. cfg.bins is the ceiling.
         n_ctx = ctx.count()
+        if n_ctx == 0:
+            raise EmptyContextError(
+                f"query context {query.context!r} matches no rows"
+            )
         bins = min(cfg.bins, max(3, n_ctx // 60))
         # Outcome binning.
         ctx, o_map = ensure_binned(ctx, [query.o], bins=bins)
@@ -225,9 +244,16 @@ class Mesa:
             )
         timings["ipw"] = time.perf_counter() - t0
 
+        # The one collect of the analysis columns also fills the cache.
+        t0 = time.perf_counter()
         ctx = ctx.cache()
+        table = CodedTable.collect(
+            ctx, [o_bin, t_col, *analysis_cols], list(weights.values())
+        )
+        timings["collect"] = time.perf_counter() - t0
         return PreparedQuery(
             df=ctx,
+            table=table,
             o_bin=o_bin,
             t=t_col,
             candidates=analysis_cols,
@@ -240,13 +266,13 @@ class Mesa:
         )
 
     def explain_prepared(self, prep: PreparedQuery) -> MesaResult:
-        """Stages 6–7 on a prepared frame: scan, online prune, MCIMR,
-        responsibility."""
+        """Stages 6–7 on the prepared table: scan, online prune, MCIMR,
+        responsibility. Runs no Spark job."""
         cfg = self.cfg
         timings = dict(prep.timings)
         t0 = time.perf_counter()
         scan = scan_counts(
-            prep.df, [prep.o_bin, prep.t], prep.candidates, prep.weights
+            prep.table, [prep.o_bin, prep.t], prep.candidates, prep.weights
         )
         timings["scan"] = time.perf_counter() - t0
 
@@ -266,7 +292,7 @@ class Mesa:
 
         t0 = time.perf_counter()
         result = mcimr(
-            prep.df,
+            prep.table,
             cands,
             o_bin=prep.o_bin,
             t=prep.t,
@@ -280,11 +306,12 @@ class Mesa:
 
         t0 = time.perf_counter()
         resp = responsibilities(
-            prep.df,
+            prep.table,
             result.selected,
             o_bin=prep.o_bin,
             t=prep.t,
             weights=prep.weights,
+            counts=result.final_counts,
         )
         timings["responsibility"] = time.perf_counter() - t0
 

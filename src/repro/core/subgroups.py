@@ -7,9 +7,11 @@ look for a different one.
 
 The refinement lattice is traversed top-down with a max-heap keyed on
 group size. Each node is generated once (children only extend with
-attributes strictly later in a canonical order). Per popped node: one
-small joint-contingency Spark job for the score; per expanded node: one
-``group_sizes`` scan pass producing the sizes of *all* children at once.
+attributes strictly later in a canonical order). The search collects its
+columns once per call (none when given a coded table) and then works on the
+driver: a subgroup is a boolean row mask; per popped node one joint
+contingency gives the score, per expanded node one ``group_sizes`` call the
+sizes of *all* children at once.
 A node whose score exceeds τ is reported (unless an ancestor already was)
 and not expanded — the algorithm returns the most general unexplained
 groups, exactly as Prop 4.4 states.
@@ -19,16 +21,19 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.core.contingency import ATTR_COL, VAL_COL, group_sizes
-from repro.core.contingency import joint_counts
+from repro.core.contingency import (
+    ATTR_COL,
+    VAL_COL,
+    CodedTable,
+    Data,
+    as_table,
+    group_sizes,
+    joint_counts,
+)
 from repro.core.info_theory import cmi_from_counts
-from repro.core.mcimr import combined_weight
+from repro.core.mcimr import combined_weight, weight_cols
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,8 @@ class SubgroupSearchResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _filter(df: DataFrame, conds: tuple[tuple[str, str], ...]) -> DataFrame:
-    preds = [F.col(a).cast("string") == F.lit(v) for a, v in conds]
-    return df.where(reduce(lambda x, y: x & y, preds))
-
-
 def top_k_unexplained(
-    df_ctx: DataFrame,
+    df_ctx: Data,
     *,
     explanation: list[str],
     refine_attrs: list[str],
@@ -86,35 +86,40 @@ def top_k_unexplained(
     "C' is small".
     """
     refine_attrs = [a for a in refine_attrs if a != t and a != o_bin]
+    table = as_table(
+        df_ctx,
+        [o_bin, t, *explanation, *refine_attrs],
+        weight_cols(explanation, weights),
+    )
+    table, wcol = combined_weight(table, explanation, weights)
     order = {a: i for i, a in enumerate(refine_attrs)}
     results: list[Refinement] = []
     trace: list[dict] = []
     counter = itertools.count()  # heap tie-breaker
     heap: list[tuple[int, int, tuple[tuple[str, str], ...]]] = []
 
-    def push_children(base_df: DataFrame, conds: tuple[tuple[str, str], ...]):
+    def push_children(sub: CodedTable, conds: tuple[tuple[str, str], ...]):
         last = max((order[a] for a, _ in conds), default=-1)
         attrs_after = [a for a in refine_attrs if order[a] > last]
         if not attrs_after:
             return
-        sizes = group_sizes(base_df, attrs_after)
+        sizes = group_sizes(sub, attrs_after)
         for _, row in sizes.iterrows():
             size = int(row["size"])
             if size >= min_size:
                 child = conds + ((str(row[ATTR_COL]), str(row[VAL_COL])),)
                 heapq.heappush(heap, (-size, next(counter), child))
 
-    push_children(df_ctx, ())
+    push_children(table, ())
     explored = 0
     while heap and len(results) < k and explored < max_nodes:
         neg_size, _, conds = heapq.heappop(heap)
         size = -neg_size
         explored += 1
-        sub = _filter(df_ctx, conds)
+        sub = table.where(table.mask(conds))
         # One joint contingency yields both the conditioned score and the
         # group's own baseline (marginalize the explanation columns).
-        dfw, wcol = combined_weight(sub, explanation, weights)
-        pdf = joint_counts(dfw, [o_bin, t, *explanation], weight_col=wcol)
+        pdf = joint_counts(sub, [o_bin, t, *explanation], weight_col=wcol)
         score = cmi_from_counts(pdf, o_bin, t, explanation)
         base_g = cmi_from_counts(pdf, o_bin, t)
         ratio = score / base_g if base_g > 1e-9 else 0.0

@@ -92,7 +92,7 @@ def run_all_methods(
             )
         if "Top-K" in methods:
             res = top_k(
-                prep.df,
+                prep.table,
                 prep.candidates,
                 o_bin=prep.o_bin,
                 t=prep.t,
@@ -125,7 +125,7 @@ def run_all_methods(
             )
         if "HypDB" in methods:
             res = hypdb(
-                prep.df,
+                prep.table,
                 prep.candidates,
                 o_bin=prep.o_bin,
                 t=prep.t,

@@ -20,8 +20,8 @@ Implementation notes (all dataflow-first):
   likelihood to row-level fitting, at entity-combination cost instead of
   |D| cost.
 * **Weights** — joined back as a per-attribute weight column; incomplete
-  rows get null weight (they are dropped per-attribute by the scan pass
-  anyway).
+  rows get null weight (they are dropped per attribute by the contingency
+  counts anyway).
 """
 from __future__ import annotations
 
@@ -179,8 +179,8 @@ def detect_selection_bias_batch(
     eps_bits: float = 0.02,
 ) -> set[str]:
     """Batched §3.2 detection: which attributes' missingness is associated
-    with the *outcome*. One wide scan pass regardless of |attrs| — the
-    missingness indicators are stacked exactly like candidate attributes.
+    with the *outcome*. One collect regardless of |attrs| — the
+    missingness indicators are scanned exactly like candidate attributes.
 
     Prop 3.1's recoverability conditions are about O-dependence of the
     selection indicator (``O ⟂ R_E | …``); dependence of R_E on the
@@ -226,7 +226,7 @@ def prepare_weights(
     """Full §3.2 pipeline: detect bias per attribute, fit propensities,
     attach weight columns.
 
-    Detection is batched (two scan passes). Propensity fitting is batched
+    Detection is batched (one scan). Propensity fitting is batched
     too: ONE ``groupBy(features)`` aggregates the observed/total counts of
     every biased attribute simultaneously, each attribute gets its own
     IRLS fit on that shared grouped design, and all weight columns join
@@ -234,7 +234,7 @@ def prepare_weights(
 
     Returns ``(df_with_weights, {attr: weight_col}, biased_attrs)``.
     Attributes without missing values or without detected bias get no
-    weight column (unit weight in the scan pass).
+    weight column (unit weight in the scan).
     """
     if not attrs:
         return df, {}, set()

@@ -1,4 +1,10 @@
-"""Spark contingency passes, checked cell-for-cell against DuckDB."""
+"""Contingency counts on the coded table, checked cell-for-cell against
+DuckDB, and the Spark job budget of the explain phase."""
+import datetime
+import decimal
+import uuid
+
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -6,11 +12,16 @@ from repro import synth_data
 from repro.core.contingency import (
     ATTR_COL,
     VAL_COL,
+    CodedTable,
     group_sizes,
     joint_counts,
     scan_counts,
 )
 from repro.core.info_theory import CNT, cmi_from_counts, mi_from_counts
+from repro.core.mesa import Mesa
+from repro.core.subgroups import top_k_unexplained
+from repro.datasets.queries import get_query
+from repro.datasets.so import make_so
 from repro.oracle import assert_equivalent
 
 
@@ -172,3 +183,236 @@ class TestGroupSizes:
 
     def test_empty_attrs(self, li):
         assert group_sizes(li, []).empty
+
+
+@pytest.fixture(scope="module")
+def holey(spark):
+    """Mixed-type columns with nulls in values and weights."""
+    rng = np.random.default_rng(11)
+    n = 900
+
+    def with_nulls(values, share):
+        out = pd.Series(values, dtype=object)
+        out[rng.random(n) < share] = None
+        return out
+
+    pdf = pd.DataFrame(
+        {
+            "o": with_nulls(rng.choice(["p", "q", "r"], n), 0.05),
+            "t": rng.integers(0, 7, n),
+            "e1": with_nulls(rng.choice(["a", "b", "c", "d"], n), 0.2),
+            "e2": with_nulls(rng.integers(-2, 3, n), 0.4),
+            "w1": with_nulls(rng.uniform(0.5, 4.0, n), 0.3),
+            "w2": rng.uniform(1.0, 2.0, n),
+        }
+    )
+    return spark.createDataFrame(
+        pdf, "o string, t long, e1 string, e2 long, w1 double, w2 double"
+    ).cache()
+
+
+@pytest.fixture(scope="module")
+def holey_pd(holey):
+    """``holey`` for DuckDB, the nullable long column kept integral."""
+    return holey.toPandas().astype({"e2": "Int64"})
+
+
+@pytest.fixture(scope="module")
+def holey_table(holey):
+    return CodedTable.collect(holey, ["o", "t", "e1", "e2"], ["w1", "w2"])
+
+
+class TestCodedTable:
+    """``joint_counts``/``scan_counts``/``group_sizes`` on a ``CodedTable``."""
+
+    def test_joint_unweighted_matches_duckdb(self, spark, li):
+        cols = ["l_returnflag", "l_linestatus", "l_linenumber"]
+        table = CodedTable.collect(li, cols)
+        got = spark.createDataFrame(joint_counts(table, cols))
+        assert_equivalent(
+            got,
+            """
+            SELECT CAST(l_returnflag AS VARCHAR) AS l_returnflag,
+                   CAST(l_linestatus AS VARCHAR) AS l_linestatus,
+                   CAST(l_linenumber AS VARCHAR) AS l_linenumber,
+                   CAST(count(*) AS DOUBLE) AS cnt
+            FROM li GROUP BY ALL
+            """,
+            li=li,
+        )
+
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            # ~1M-cell key space over ~12k rows: counted via np.unique
+            ["l_orderkey", "l_partkey", "l_returnflag"],
+            # 3^40 cells: beyond an int64 key, grouped on the code matrix
+            [f"l_linenumber_{i}" for i in range(40)],
+        ],
+        ids=["sparse", "wide"],
+    )
+    def test_large_key_spaces_match_duckdb(self, spark, li, cols):
+        df = li
+        for i in range(40):
+            df = df.withColumn(f"l_linenumber_{i}", (df.l_linenumber + i) % 3)
+        pdf = joint_counts(CodedTable.collect(df, cols), cols)
+        casts = ", ".join(f"CAST({c} AS VARCHAR) AS {c}" for c in cols)
+        assert_equivalent(
+            spark.createDataFrame(pdf),
+            f"SELECT {casts}, CAST(count(*) AS DOUBLE) AS cnt FROM d GROUP BY ALL",
+            d=df.select(*cols),
+        )
+
+    def test_joint_weighted_matches_duckdb(self, spark, holey_pd, holey_table):
+        pdf = joint_counts(holey_table, ["o", "t", "e1"], weight_col="w1")
+        assert_equivalent(
+            spark.createDataFrame(pdf),
+            """
+            SELECT o, CAST(t AS VARCHAR) AS t, e1,
+                   SUM(COALESCE(w1, 1.0)) AS cnt
+            FROM d
+            WHERE o IS NOT NULL AND t IS NOT NULL AND e1 IS NOT NULL
+            GROUP BY ALL
+            """,
+            d=holey_pd,
+        )
+
+    def test_scan_matches_duckdb(self, spark, holey_pd, holey_table):
+        scan = scan_counts(
+            holey_table, ["o", "t"], ["e1", "e2"], weights={"e2": "w1"}
+        )
+        for attr, w in (("e1", "1.0"), ("e2", "COALESCE(w1, 1.0)")):
+            assert_equivalent(
+                spark.createDataFrame(scan[attr]),
+                f"""
+                SELECT CAST({attr} AS VARCHAR) AS {VAL_COL}, o,
+                       CAST(t AS VARCHAR) AS t, SUM({w}) AS cnt
+                FROM d
+                WHERE o IS NOT NULL AND t IS NOT NULL AND {attr} IS NOT NULL
+                GROUP BY ALL
+                """,
+                d=holey_pd,
+            )
+
+    def test_group_sizes_matches_duckdb(self, spark, holey_pd, holey_table):
+        pdf = group_sizes(holey_table, ["e1", "e2"])
+        assert_equivalent(
+            spark.createDataFrame(pdf),
+            f"""
+            SELECT 'e1' AS {ATTR_COL}, e1 AS {VAL_COL}, count(*) AS size
+            FROM d WHERE e1 IS NOT NULL GROUP BY 2
+            UNION ALL
+            SELECT 'e2', CAST(e2 AS VARCHAR), count(*)
+            FROM d WHERE e2 IS NOT NULL GROUP BY 2
+            """,
+            d=holey_pd,
+        )
+
+    def test_dataframe_input_equals_table_input(self, holey, holey_table):
+        a = joint_counts(holey, ["o", "e2"], weight_col="w2")
+        b = joint_counts(holey_table, ["o", "e2"], weight_col="w2")
+        pd.testing.assert_frame_equal(a, b)
+
+    def test_null_weight_counts_as_one(self, spark):
+        df = spark.createDataFrame(
+            [("a", 2.0), ("a", None), ("b", None)], "e string, w double"
+        )
+        pdf = joint_counts(CodedTable.collect(df, ["e"], ["w"]), ["e"], "w")
+        assert dict(zip(pdf["e"], pdf[CNT])) == {"a": 3.0, "b": 1.0}
+
+    def test_per_attribute_null_filtering(self, holey, holey_table):
+        scan = scan_counts(holey_table, ["o"], ["e1", "e2"])
+        for attr in ("e1", "e2"):
+            n = holey.where(f"o IS NOT NULL AND {attr} IS NOT NULL").count()
+            assert scan[attr][CNT].sum() == n
+
+    def test_all_null_attribute_gives_empty_frame(self, spark):
+        df = spark.createDataFrame(
+            [("p", None), ("q", None)], "o string, e double"
+        )
+        table = CodedTable.collect(df, ["o", "e"])
+        assert scan_counts(table, ["o"], ["e"])["e"].empty
+        assert joint_counts(table, ["o", "e"]).empty
+        assert group_sizes(table, ["e"]).empty
+
+    def test_labels_equal_spark_cast(self, spark):
+        df = spark.createDataFrame(
+            [
+                (10_000_000, 1.0e7, True, "x", 7, decimal.Decimal("1.50"),
+                 datetime.date(2020, 1, 2), 2.5),
+                (-3, 1.0e-4, False, "y", None, None, None, None),
+                (None, None, None, None, -1, decimal.Decimal("-0.25"),
+                 datetime.date(1999, 12, 31), float("nan")),
+            ],
+            "l long, d double, b boolean, s string, i int, "
+            "m decimal(5,2), dt date, f float",
+        )
+        cols = df.columns
+        table = CodedTable.collect(df, cols)
+        spark_rows = df.select(*[df[c].cast("string") for c in cols]).collect()
+        for j, c in enumerate(cols):
+            want = [r[j] for r in spark_rows]
+            codes = table.codes[c]
+            got = [table.labels[c][k] if k >= 0 else None for k in codes]
+            assert got == want, c
+        assert list(table.labels["d"]) == ["1.0E7", "1.0E-4"]
+        assert list(table.labels["b"]) == ["true", "false"]
+
+
+@pytest.fixture(scope="module")
+def so_prepared(spark):
+    ds = make_so(spark, sf=0.02, n_junk=4, seed=2)
+    cq = get_query("SO", "Q1")
+    mesa = Mesa(spark)
+    prep = mesa.prepare(ds.df, cq.query, ds.kg, ds.extraction_cols)
+    yield mesa, prep, cq
+    prep.df.unpersist()
+
+
+def _spark_jobs(spark, fn):
+    """``fn()``'s result and the number of Spark jobs it ran."""
+    sc = spark.sparkContext
+    group = f"explain-jobs-{uuid.uuid4().hex}"
+    # Adaptive execution submits each shuffle stage as its own job; turn it
+    # off so one pass is one job.
+    aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    sc.setJobGroup(group, "explain job count")
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+        spark.conf.set("spark.sql.adaptive.enabled", aqe)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestExplainJobs:
+    """The explain phase counts on the driver."""
+
+    def test_explain_prepared_runs_no_job(self, spark, so_prepared):
+        mesa, prep, _ = so_prepared
+        res, jobs = _spark_jobs(spark, lambda: mesa.explain_prepared(prep))
+        assert res.explanation
+        assert prep.weights, "the check should cover weighted attributes"
+        assert jobs == 0
+
+    def test_top_k_unexplained_on_dataframe_runs_one_job(self, spark, so_prepared):
+        mesa, prep, cq = so_prepared
+        res = mesa.explain_prepared(prep)
+        sg, jobs = _spark_jobs(
+            spark,
+            lambda: top_k_unexplained(
+                prep.df,
+                explanation=res.analysis_cols,
+                refine_attrs=list(cq.refine_attrs),
+                o_bin=prep.o_bin,
+                t=prep.t,
+                tau=0.0,
+                tau_ratio=0.0,
+                weights=prep.weights,
+                max_nodes=6,
+            ),
+        )
+        assert sg.nodes_explored > 0
+        assert jobs == 1

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.contingency import CodedTable
 from repro.core.mcimr import combined_weight, conditional_cmi, mcimr
 from repro.core.responsibility import responsibilities
 from repro.core.subgroups import top_k_unexplained
@@ -54,20 +55,21 @@ class TestConditionalCMI:
 
 class TestCombinedWeight:
     def test_no_weights_passthrough(self, confounded):
-        df, w = combined_weight(confounded, ["hdi"], None)
-        assert w is None and df is confounded
+        table = CodedTable.collect(confounded, ["hdi"])
+        out, w = combined_weight(table, ["hdi"], None)
+        assert w is None and out is table
 
     def test_product_column(self, spark):
         pdf = pd.DataFrame({"a": [1], "w1": [2.0], "w2": [3.0]})
-        df = spark.createDataFrame(pdf)
-        out, w = combined_weight(df, ["a", "b"], {"a": "w1", "b": "w2"})
-        assert out.select(w).collect()[0][0] == pytest.approx(6.0)
+        table = CodedTable.collect(spark.createDataFrame(pdf), ["a"], ["w1", "w2"])
+        out, w = combined_weight(table, ["a", "b"], {"a": "w1", "b": "w2"})
+        assert out.weights[w][0] == pytest.approx(6.0)
 
     def test_null_weight_treated_as_one(self, spark):
         pdf = pd.DataFrame({"a": [1], "w1": [None]}).astype({"w1": "float"})
-        df = spark.createDataFrame(pdf)
-        out, w = combined_weight(df, ["a"], {"a": "w1"})
-        assert out.select(w).collect()[0][0] == pytest.approx(1.0)
+        table = CodedTable.collect(spark.createDataFrame(pdf), ["a"], ["w1"])
+        out, w = combined_weight(table, ["a"], {"a": "w1"})
+        assert out.weights[w][0] == pytest.approx(1.0)
 
 
 class TestMCIMR:

@@ -1,8 +1,11 @@
 """End-to-end MESA pipeline on the synthetic SO dataset."""
+import dataclasses
+
 import pytest
 
-from repro.core.mesa import Mesa, MesaConfig, display_name
+from repro.core.mesa import EmptyContextError, Mesa, MesaConfig, display_name
 from repro.core.query import BIN_SUFFIX
+from repro.datasets.covid import make_covid
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 from repro.eval.scoring import class_of
@@ -111,3 +114,13 @@ class TestMesaConfig:
             a.startswith("Country__") or a.startswith("Continent__")
             for a in q1_result.extracted_attrs
         )
+
+
+class TestDegenerateInput:
+    def test_empty_context_raises_named_error(self, spark):
+        covid = make_covid(spark, n_junk=4)
+        q = get_query("Covid-19", "Q2").query
+        empty = dataclasses.replace(q, context=(("Country", "__no_such_value__"),))
+        with pytest.raises(EmptyContextError, match="matches no rows"):
+            Mesa(spark).explain(covid.df, empty, covid.kg, covid.extraction_cols)
+        assert issubclass(EmptyContextError, ValueError)
