@@ -1,7 +1,8 @@
 """Micro-benchmarks of the primitives underlying every score: candidate
-binning (Spark), the scan and the joint contingency on the coded table, one
-MCIMR run and one ``explain_prepared`` (driver only). These isolate the
-per-stage cost that Figs 4–6 sweep."""
+binning (Spark), the scan and the joint contingency on the coded table, the
+estimator pass over a scan, one MCIMR run and one ``explain_prepared``
+(driver only). These isolate the per-stage cost that Figs 4–6 sweep."""
+import contextlib
 import uuid
 
 import pytest
@@ -9,11 +10,27 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core import mesa as mesa_module
 from repro.core.contingency import joint_counts, scan_counts
-from repro.core.mcimr import mcimr
+from repro.core.info_theory import CNT, cmi_from_counts
+from repro.core.mcimr import individual_scores, mcimr
 from repro.core.mesa import Mesa, MesaConfig
+from repro.core.pruning import online_prune
 from repro.core.query import ensure_binned
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
+
+
+@contextlib.contextmanager
+def spark_jobs(spark, name):
+    """Run the block in its own job group; yields a callable that counts
+    the Spark jobs the block started."""
+    sc = spark.sparkContext
+    group = f"{name}-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, name)
+    try:
+        yield lambda: len(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
 
 
 @pytest.fixture(scope="module")
@@ -80,17 +97,41 @@ def bench_explain_prepared(benchmark, spark, scale):
     cq = get_query("SO", "Q1")
     mesa = Mesa(spark, MesaConfig(k=scale.k))
     prep = mesa.prepare(ds.df, cq.query, ds.kg, ds.extraction_cols)
-    sc = spark.sparkContext
-    group = f"bench-explain-{uuid.uuid4().hex}"
-    sc.setJobGroup(group, "bench_explain_prepared")
     try:
-        res = benchmark(mesa.explain_prepared, prep)
+        with spark_jobs(spark, "bench_explain_prepared") as jobs:
+            res = benchmark(mesa.explain_prepared, prep)
+            n_jobs = jobs()
     finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
         prep.df.unpersist()
     assert res.explanation
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
+    assert n_jobs == 0
+
+
+@pytest.mark.benchmark(group="primitives")
+def bench_estimators(benchmark, spark, prepared):
+    """Online pruning plus MCIMR's individual scores over SO Q1's prepared
+    scan: the estimator pass alone, on the driver (no Spark job)."""
+    o, t = prepared.o_bin, prepared.t
+    scan = scan_counts(prepared.table, [o, t], prepared.candidates, prepared.weights)
+    base_pdf = joint_counts(prepared.table, [o, t])
+    base_cmi = cmi_from_counts(base_pdf, o, t)
+    n_total = float(base_pdf[CNT].sum())
+
+    def estimate():
+        kept, _ = online_prune(scan, prepared.candidates, o_bin=o, t=t)
+        return individual_scores(
+            {a: scan[a] for a in kept},
+            o_bin=o,
+            t=t,
+            base_cmi=base_cmi,
+            n_total=n_total,
+        )
+
+    with spark_jobs(spark, "bench_estimators") as jobs:
+        scores = benchmark(estimate)
+        n_jobs = jobs()
+    assert scores
+    assert n_jobs == 0
 
 
 @pytest.mark.benchmark(group="primitives")
@@ -98,7 +139,7 @@ def bench_mcimr_end_to_end(benchmark, prepared, scale):
     res = run_once(
         benchmark,
         mcimr,
-        prepared.df,
+        prepared.table,
         prepared.candidates,
         o_bin=prepared.o_bin,
         t=prepared.t,

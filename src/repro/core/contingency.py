@@ -27,6 +27,9 @@ Three shapes:
 
 Each accepts a :class:`CodedTable` or a Spark ``DataFrame``; a DataFrame is
 converted at entry by one projection collect of the columns the call reads.
+The value columns of ``joint_counts`` and ``scan_counts`` frames are
+categoricals over the table's label dictionaries, so the estimators in
+:mod:`repro.core.info_theory` read each cell's codes directly.
 
 Labels equal Spark's ``cast("string")`` of the value (integral and string
 columns are collected natively and labelled exactly as Spark would print
@@ -48,7 +51,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.info_theory import CNT
+from repro.core.info_theory import CNT, DENSE_CELLS
 
 ATTR_COL = "__attr"
 VAL_COL = "__val"
@@ -57,9 +60,6 @@ VAL_COL = "__val"
 _NATIVE_TYPES = (
     T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.StringType,
 )
-#: a mixed-radix key space of at most this many cells, or four per row, is
-#: counted by direct ``bincount``; larger spaces are sorted by ``np.unique``
-_DENSE_CELLS = 1 << 16
 
 
 def _code_dtype(n_labels: int) -> type:
@@ -174,7 +174,7 @@ def _cells(
     for c, k in zip(codes, sizes):
         key *= k
         key += c
-    if n_cells <= max(_DENSE_CELLS, 4 * len(key)):
+    if n_cells <= max(DENSE_CELLS, 4 * len(key)):
         rows = np.bincount(key, minlength=n_cells)
         cells = np.flatnonzero(rows)
         tot = rows if w is None else np.bincount(key, weights=w, minlength=n_cells)
@@ -197,13 +197,20 @@ def _frame(
     w: np.ndarray | None,
 ) -> pd.DataFrame:
     """Contingency of ``cols`` over the rows in ``keep``, the value columns
-    named ``names``."""
+    named ``names``.
+
+    Each value column is a categorical over the column's label dictionary,
+    so the estimators read the cell codes without re-grouping the labels.
+    """
     if not keep.any():
         return _empty(names)
     codes = [table.codes[c][keep] for c in cols]
     sizes = [len(table.labels[c]) for c in cols]
     cell_codes, tot = _cells(codes, sizes, None if w is None else w[keep])
-    data = {n: table.labels[c][k] for n, c, k in zip(names, cols, cell_codes)}
+    data = {
+        n: pd.Categorical.from_codes(k, table.labels[c])
+        for n, c, k in zip(names, cols, cell_codes)
+    }
     data[CNT] = tot
     return pd.DataFrame(data)
 

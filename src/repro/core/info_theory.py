@@ -7,6 +7,13 @@ analysis table in :mod:`repro.core.contingency`; everything here is
 driver-side numpy over tables whose size is bounded by the product of binned
 attribute domains, never by ``|D|``.
 
+Marginal group sums are numpy over integer cell codes: a frame from
+:mod:`repro.core.contingency` carries each value column as a categorical
+whose codes index the table's label dictionary, and any other column (a
+hand-built frame) is coded on entry by ``pd.factorize``, nulls forming a
+group of their own as under ``groupby(dropna=False)``. The codes of a column
+set combine into one mixed-radix key per cell, reduced by ``np.bincount``.
+
 Entropies and mutual informations are in **bits** (log2), matching the
 magnitudes quoted in the paper's running examples (e.g. ``I(O;T|C)=2.6``).
 
@@ -25,6 +32,10 @@ import numpy as np
 import pandas as pd
 
 CNT = "cnt"
+
+#: a mixed-radix key space of at most this many cells, or four per row, is
+#: reduced by direct ``bincount``; larger spaces are compacted by ``np.unique``
+DENSE_CELLS = 1 << 16
 
 # ---------------------------------------------------------------------------
 # chi-square survival function (no scipy in the container)
@@ -87,6 +98,46 @@ def chi2_sf(x: float, dof: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _codes(col: pd.Series) -> tuple[np.ndarray, int]:
+    """``col``'s integer code per row and the size of its code space.
+
+    A categorical column carries its codes; any other column, or a
+    categorical holding nulls, is factorized with null as a value of its own.
+    """
+    if isinstance(col.dtype, pd.CategoricalDtype):
+        codes = col.array.codes
+        if not len(codes) or codes.min() >= 0:
+            return codes, len(col.dtype.categories)
+    codes, uniques = pd.factorize(col, use_na_sentinel=False)
+    return codes, len(uniques)
+
+
+def _compact(key: np.ndarray) -> tuple[np.ndarray, int]:
+    uniq, inv = np.unique(key, return_inverse=True)
+    return inv, len(uniq)
+
+
+def _group_key(pdf: pd.DataFrame, cols: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Each row's group over ``cols`` as an int key, and the key space size.
+
+    The key is mixed-radix over the column codes; whenever the space would
+    outgrow ``DENSE_CELLS`` (or four cells per row) the key is first
+    compacted to its distinct values, so it never overflows int64.
+    """
+    key = np.zeros(len(pdf), dtype=np.int64)
+    space = 1
+    limit = max(DENSE_CELLS, 4 * len(key))
+    for c in cols:
+        codes, size = _codes(pdf[c])
+        if space * size > limit:
+            key, space = _compact(key)
+        key = key * size + codes
+        space *= size
+    if space > limit:
+        key, space = _compact(key)
+    return key, space
+
+
 def _group_sums(pdf: pd.DataFrame, cols: Sequence[str]) -> np.ndarray:
     """Per-row sum of ``cnt`` within groups defined by ``cols``.
 
@@ -94,9 +145,9 @@ def _group_sums(pdf: pd.DataFrame, cols: Sequence[str]) -> np.ndarray:
     """
     if not cols:
         return np.full(len(pdf), pdf[CNT].sum(), dtype=float)
-    return pdf.groupby(list(cols), observed=True, dropna=False)[CNT].transform(
-        "sum"
-    ).to_numpy(dtype=float)
+    key, space = _group_key(pdf, cols)
+    cnt = pdf[CNT].to_numpy(dtype=float)
+    return np.bincount(key, weights=cnt, minlength=space)[key]
 
 
 def entropy_from_counts(pdf: pd.DataFrame, cols: Sequence[str]) -> float:
@@ -161,6 +212,37 @@ def mi_from_counts(
     return cmi_from_counts(pdf, x, y, ())
 
 
+def _ci_terms(
+    pdf: pd.DataFrame,
+    x: Sequence[str] | str,
+    y: Sequence[str] | str,
+    z: Sequence[str] | str,
+) -> tuple[float, float, int]:
+    """Plug-in I(X;Y|Z) in bits, the count total N and the observed
+    ``(|X|-1)(|Y|-1)|Z|`` — everything the CI statistics below read."""
+    xs = [x] if isinstance(x, str) else list(x)
+    ys = [y] if isinstance(y, str) else list(y)
+    zs = [z] if isinstance(z, str) else list(z)
+    i_bits = cmi_from_counts(pdf, xs, ys, zs)
+    n = float(pdf[CNT].sum()) if len(pdf) else 0.0
+    dof = (
+        (_domain_size(pdf, xs) - 1)
+        * (_domain_size(pdf, ys) - 1)
+        * _domain_size(pdf, zs)
+    )
+    return i_bits, n, dof
+
+
+def _corrected(i_bits: float, n: float, dof: int) -> float:
+    if n <= 0:
+        return 0.0
+    return max(0.0, i_bits - dof / (2.0 * n * math.log(2.0)))
+
+
+def _g_stat(i_bits: float, n: float, dof: int) -> tuple[float, float]:
+    return 2.0 * n * math.log(2.0) * i_bits, max(1.0, dof)
+
+
 def cmi_corrected_from_counts(
     pdf: pd.DataFrame,
     x: Sequence[str] | str,
@@ -179,25 +261,15 @@ def cmi_corrected_from_counts(
     correction is negligible, at unit-test sizes it is what keeps junk
     from winning. Clamped at 0.
     """
-    xs = [x] if isinstance(x, str) else list(x)
-    ys = [y] if isinstance(y, str) else list(y)
-    zs = [z] if isinstance(z, str) else list(z)
-    i_plug = cmi_from_counts(pdf, xs, ys, zs)
-    n = float(pdf[CNT].sum()) if len(pdf) else 0.0
-    if n <= 0:
-        return 0.0
-    dof = (
-        (_domain_size(pdf, xs) - 1)
-        * (_domain_size(pdf, ys) - 1)
-        * _domain_size(pdf, zs)
-    )
-    return max(0.0, i_plug - dof / (2.0 * n * math.log(2.0)))
+    return _corrected(*_ci_terms(pdf, x, y, z))
 
 
 def _domain_size(pdf: pd.DataFrame, cols: Sequence[str]) -> int:
+    """Number of distinct (null-inclusive) value combinations of ``cols``."""
     if not cols:
         return 1
-    return int(pdf.groupby(list(cols), observed=True, dropna=False).ngroups)
+    key, space = _group_key(pdf, cols)
+    return int(np.count_nonzero(np.bincount(key, minlength=space)))
 
 
 def g_test(
@@ -212,18 +284,7 @@ def g_test(
     *observed* domain sizes. With weighted counts, N is the weight total —
     the usual IPW pseudo-sample-size approximation.
     """
-    xs = [x] if isinstance(x, str) else list(x)
-    ys = [y] if isinstance(y, str) else list(y)
-    zs = [z] if isinstance(z, str) else list(z)
-    i_bits = cmi_from_counts(pdf, xs, ys, zs)
-    n = float(pdf[CNT].sum()) if len(pdf) else 0.0
-    g = 2.0 * n * math.log(2.0) * i_bits
-    dof = max(
-        1.0,
-        (_domain_size(pdf, xs) - 1)
-        * (_domain_size(pdf, ys) - 1)
-        * _domain_size(pdf, zs),
-    )
+    g, dof = _g_stat(*_ci_terms(pdf, x, y, z))
     return g, dof, chi2_sf(g, dof)
 
 
@@ -244,10 +305,10 @@ def is_conditionally_independent(
     need the effect-size floor to be usable (cf. HypDB, which also thresholds
     its CMI estimates). The floor uses the bias-*corrected* CMI so that
     sparse attributes (small complete-case support, inflated plug-in CMI)
-    do not spuriously pass the dependence test.
+    do not spuriously pass the dependence test. Both statistics come from
+    one plug-in CMI and one set of domain sizes.
     """
-    i_bits = cmi_corrected_from_counts(pdf, x, y, z)
-    if i_bits < eps_bits:
+    terms = _ci_terms(pdf, x, y, z)
+    if _corrected(*terms) < eps_bits:
         return True
-    _, _, p = g_test(pdf, x, y, z)
-    return p > alpha
+    return chi2_sf(*_g_stat(*terms)) > alpha

@@ -387,7 +387,7 @@ def fig3_missing_robustness(
     from repro.core.query import is_numeric
 
     numeric_attrs = [a for a in prep.extracted_attrs if is_numeric(prep.df, a)]
-    scan = scan_counts(prep.df, [prep.o_bin], numeric_attrs)
+    scan = scan_counts(prep.table, [prep.o_bin], numeric_attrs)
     relevance = {
         a: cmi_from_counts(scan[a], prep.o_bin, VAL_COL)
         for a in numeric_attrs
@@ -489,13 +489,14 @@ def missingness_stats(
 
 
 def _timed_mcimr(prep, candidates, k, *, online: bool) -> float:
+    """Driver-side scan, online pruning and MCIMR on the prepared table."""
     t0 = time.perf_counter()
-    scan = scan_counts(prep.df, [prep.o_bin, prep.t], candidates, prep.weights)
+    scan = scan_counts(prep.table, [prep.o_bin, prep.t], candidates, prep.weights)
     cands = candidates
     if online:
         cands, _ = online_prune(scan, candidates, o_bin=prep.o_bin, t=prep.t)
     mcimr(
-        prep.df,
+        prep.table,
         cands,
         o_bin=prep.o_bin,
         t=prep.t,
@@ -601,7 +602,7 @@ def fig6_k_sweep(
     for k in ks:
         t0 = time.perf_counter()
         res = mcimr(
-            prep.df, prep.candidates, o_bin=prep.o_bin, t=prep.t, k=k,
+            prep.table, prep.candidates, o_bin=prep.o_bin, t=prep.t, k=k,
             weights=prep.weights,
         )
         rows.append(

@@ -33,7 +33,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.contingency import joint_counts
-from repro.core.info_theory import g_test
+from repro.core.info_theory import is_conditionally_independent
 
 WEIGHT_PREFIX = "__w__"
 
@@ -61,11 +61,10 @@ def detect_selection_bias(
     del t  # kept for signature stability; see batch variant's docstring
     r = "__r"
     with_r = selection_indicator(df, attr, r)
-    from repro.core.info_theory import cmi_corrected_from_counts
-
     pdf = joint_counts(with_r, [r, o_bin])
-    _, _, p = g_test(pdf, r, o_bin)
-    return cmi_corrected_from_counts(pdf, r, o_bin) >= eps_bits and p <= alpha
+    return not is_conditionally_independent(
+        pdf, r, o_bin, alpha=alpha, eps_bits=eps_bits
+    )
 
 
 def _irls_logistic(
@@ -192,7 +191,6 @@ def detect_selection_bias_batch(
     bias-corrected MI.
     """
     from repro.core.contingency import VAL_COL, scan_counts
-    from repro.core.info_theory import cmi_corrected_from_counts
 
     if not attrs:
         return set()
@@ -206,9 +204,11 @@ def detect_selection_bias_batch(
         pdf = scan[ind_cols[a]]
         if pdf.empty or pdf[VAL_COL].nunique() < 2:
             continue  # fully observed or fully missing: no bias signal
-        eff = cmi_corrected_from_counts(pdf, VAL_COL, o_bin)
-        _, _, p = g_test(pdf, VAL_COL, o_bin)
-        if eff >= eps_bits and p <= alpha:
+        # Biased iff the bias-corrected MI clears ``eps_bits`` and the
+        # G-test rejects: exactly a failed CI decision.
+        if not is_conditionally_independent(
+            pdf, VAL_COL, o_bin, alpha=alpha, eps_bits=eps_bits
+        ):
             biased.add(a)
     return biased
 

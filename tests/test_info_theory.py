@@ -5,8 +5,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import info_theory
 from repro.core.info_theory import (
     chi2_sf,
+    cmi_corrected_from_counts,
     cmi_from_counts,
     cond_entropy_from_counts,
     entropy_from_counts,
@@ -212,3 +214,160 @@ class TestCIDecision:
     def test_strong_dependence_detected(self):
         pdf = counts([["a", "a", 500.0], ["b", "b", 500.0]], ["x", "y"])
         assert not is_conditionally_independent(pdf, "x", "y")
+
+
+# ---------------------------------------------------------------------------
+# the group sums over cell codes against the pandas ``groupby`` they replace
+# ---------------------------------------------------------------------------
+
+
+def _ref_group_sums(pdf, cols):
+    """The pandas ``groupby`` group sums the code path replaced."""
+    if not cols:
+        return np.full(len(pdf), pdf["cnt"].sum(), dtype=float)
+    return pdf.groupby(list(cols), observed=True, dropna=False)["cnt"].transform(
+        "sum"
+    ).to_numpy(dtype=float)
+
+
+def _ref_domain_size(pdf, cols):
+    if not cols:
+        return 1
+    return int(pdf.groupby(list(cols), observed=True, dropna=False).ngroups)
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Run a callable with the estimators on the ``groupby`` reference."""
+
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(info_theory, "_group_sums", _ref_group_sums)
+            m.setattr(info_theory, "_domain_size", _ref_domain_size)
+            return fn()
+
+    return run
+
+
+def _estimates(pdf, xs, ys, zs):
+    """Every public estimator on one frame, flattened to floats."""
+    return [
+        entropy_from_counts(pdf, xs + ys + zs),
+        entropy_from_counts(pdf, zs),
+        cond_entropy_from_counts(pdf, ys, xs + zs),
+        cmi_from_counts(pdf, xs, ys, zs),
+        mi_from_counts(pdf, xs, ys + zs),
+        cmi_corrected_from_counts(pdf, xs, ys, zs),
+        *g_test(pdf, xs, ys, zs),
+    ]
+
+
+_LABELS = {
+    "int": lambda rng, k: list(range(-1, k - 1)),
+    "str": lambda rng, k: [f"v{i}" for i in range(k)],
+    "none": lambda rng, k: [f"v{i}" for i in range(k - 1)] + [None],
+}
+
+
+def _random_frame(seed, n_cols, n_rows, domain, kinds):
+    """A seeded contingency frame with float weights; each column draws its
+    labels from ``domain`` values of one kind in ``kinds``."""
+    rng = np.random.default_rng(seed)
+    data = {}
+    for i in range(n_cols):
+        labels = _LABELS[kinds[i % len(kinds)]](rng, domain)
+        data[f"c{i}"] = pd.Series(
+            [labels[j] for j in rng.integers(0, domain, n_rows)], dtype=object
+        )
+    data["cnt"] = rng.uniform(0.01, 50.0, n_rows)
+    return pd.DataFrame(data)
+
+
+def _coded(pdf):
+    """``pdf`` with each value column carrying codes, as contingency frames
+    do (a column holding ``None`` keeps a -1 code for it)."""
+    out = pdf.copy()
+    for c in pdf.columns.drop("cnt"):
+        labels = pd.unique(pdf[c].dropna())
+        codes = pd.Index(labels).get_indexer(pdf[c])
+        out[c] = pd.Categorical.from_codes(codes, labels)
+    return out
+
+
+# rel 1e-12 (with an absolute floor of ~50 ulps at 1 bit for values near 0,
+# where a difference of entropies cancels): the group sums add the same
+# float64 weights in a different order.
+_TOL = dict(rel=1e-12, abs=1e-14)
+
+
+class TestGroupSumsOverCodes:
+    @pytest.mark.parametrize(
+        "seed,n_cols,n_rows,domain,kinds",
+        [
+            (0, 3, 60, 3, ("str",)),
+            (1, 4, 200, 4, ("int", "str")),
+            (2, 5, 400, 5, ("none", "int", "str")),
+            (3, 6, 1000, 3, ("int",)),
+            # 60^3 and 300^3 cells over 1,000 rows: compacted by np.unique
+            (4, 3, 1000, 60, ("str", "none")),
+            (6, 3, 1000, 300, ("int", "str")),
+            (5, 3, 1, 2, ("str",)),  # one cell
+        ],
+        ids=[
+            "str", "int-str", "none-multi", "int-wide", "unique-60", "unique-300",
+            "one-cell",
+        ],
+    )
+    def test_estimators_match_groupby_reference(
+        self, reference, seed, n_cols, n_rows, domain, kinds
+    ):
+        plain = _random_frame(seed, n_cols, n_rows, domain, kinds)
+        cols = [c for c in plain.columns if c != "cnt"]
+        splits = [(cols[:1], cols[1:2], cols[2:])]
+        if n_cols > 3:
+            splits.append((cols[:2], cols[2:3], cols[3:]))
+            splits.append((cols[:1], cols[1:3], cols[3:]))
+        coded = _coded(plain)
+        for xs, ys, zs in splits:
+            ref = reference(lambda: _estimates(plain, xs, ys, zs))
+            via_codes = _estimates(coded, xs, ys, zs)
+            via_factorize = _estimates(plain, xs, ys, zs)
+            assert via_codes == pytest.approx(ref, **_TOL)
+            assert via_codes == pytest.approx(via_factorize, **_TOL)
+        for k in range(n_cols + 1):
+            for frame in (plain, coded):
+                assert info_theory._domain_size(frame, cols[:k]) == (
+                    _ref_domain_size(plain, cols[:k])
+                )
+
+    @pytest.mark.parametrize("domain", [60, 300])
+    def test_unique_branch_is_taken(self, domain):
+        pdf = _coded(_random_frame(4, 3, 1000, domain, ("str",)))
+        key, space = info_theory._group_key(pdf, ["c0", "c1", "c2"])
+        assert space <= info_theory.DENSE_CELLS < domain**3
+        assert key.max() < space
+
+    def test_unused_categories_are_not_groups(self):
+        pdf = pd.DataFrame(
+            {
+                "x": pd.Categorical.from_codes([0, 2, 2], ["a", "b", "c"]),
+                "y": pd.Categorical.from_codes([1, 1, 0], ["u", "v"]),
+                "cnt": [1.0, 2.0, 3.0],
+            }
+        )
+        assert info_theory._domain_size(pdf, ["x"]) == 2
+        assert info_theory._domain_size(pdf, ["x", "y"]) == 3
+        assert list(info_theory._group_sums(pdf, ["x"])) == [1.0, 5.0, 5.0]
+
+    def test_empty_frame(self, reference):
+        empty = pd.DataFrame(
+            {"x": pd.Series(dtype=object), "y": pd.Series(dtype=object),
+             "z": pd.Series(dtype=object), "cnt": pd.Series(dtype=float)}
+        )
+        for frame in (empty, _coded(empty)):
+            got = _estimates(frame, ["x"], ["y"], ["z"])
+            assert got == reference(lambda: _estimates(empty, ["x"], ["y"], ["z"]))
+            for k in range(4):
+                assert info_theory._domain_size(frame, ["x", "y", "z"][:k]) == (
+                    _ref_domain_size(empty, ["x", "y", "z"][:k])
+                )

@@ -2,6 +2,7 @@
 import dataclasses
 
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.mesa import EmptyContextError, Mesa, MesaConfig, display_name
 from repro.core.query import BIN_SUFFIX
@@ -9,6 +10,7 @@ from repro.datasets.covid import make_covid
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 from repro.eval.scoring import class_of
+from repro.kg.graph import KnowledgeGraph
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +118,56 @@ class TestMesaConfig:
         )
 
 
+@pytest.fixture(scope="module")
+def covid(spark):
+    return make_covid(spark, n_junk=4)
+
+
+#: Covid-19's input-table candidates for Q1 (all columns but O and T)
+COVID_INPUT = {
+    "WHO_Region", "Confirmed_cases", "New_cases", "Recovered_per_100",
+    "Active_per_100",
+}
+
+
 class TestDegenerateInput:
-    def test_empty_context_raises_named_error(self, spark):
-        covid = make_covid(spark, n_junk=4)
+    def test_empty_context_raises_named_error(self, spark, covid):
         q = get_query("Covid-19", "Q2").query
         empty = dataclasses.replace(q, context=(("Country", "__no_such_value__"),))
         with pytest.raises(EmptyContextError, match="matches no rows"):
             Mesa(spark).explain(covid.df, empty, covid.kg, covid.extraction_cols)
         assert issubclass(EmptyContextError, ValueError)
+
+    def test_no_linked_entity(self, spark, covid):
+        q = get_query("Covid-19", "Q1").query
+        res = Mesa(spark).explain(
+            covid.df, q, KnowledgeGraph(), covid.extraction_cols
+        )
+        assert not res.extracted_attrs
+        assert set(res.explanation) <= COVID_INPUT
+
+    def test_every_candidate_excluded(self, spark, covid):
+        q = get_query("Covid-19", "Q1").query
+        res = Mesa(spark).explain(covid.df, q, exclude=COVID_INPUT)
+        assert res.explanation == []
+        assert res.result.final_cmi == res.result.base_cmi
+
+    def test_constant_exposure(self, spark, covid):
+        q = dataclasses.replace(get_query("Covid-19", "Q1").query, t="One")
+        df = covid.df.withColumn("One", F.lit("all"))
+        res = Mesa(spark).explain(df, q, covid.kg, covid.extraction_cols)
+        assert res.explanation == []
+        assert res.result.base_cmi == res.result.final_cmi == 0.0
+
+    def test_all_null_outcome(self, spark, covid):
+        q = get_query("Covid-19", "Q1").query
+        df = covid.df.withColumn(q.o, F.lit(None).cast("double"))
+        res = Mesa(spark).explain(df, q, covid.kg, covid.extraction_cols)
+        assert res.explanation == []
+        assert res.result.base_cmi == res.result.final_cmi == 0.0
+
+    def test_all_null_input_attribute_dropped_as_missing(self, spark, covid):
+        q = get_query("Covid-19", "Q1").query
+        df = covid.df.withColumn("Empty", F.lit(None).cast("double"))
+        res = Mesa(spark).explain(df, q, covid.kg, covid.extraction_cols)
+        assert res.offline_report.dropped["Empty"] == "missing"
