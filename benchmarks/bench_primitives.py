@@ -1,7 +1,8 @@
-"""Micro-benchmarks of the primitives underlying every score: candidate
-binning (Spark), the scan and the joint contingency on the coded table, the
-estimator pass over a scan, one MCIMR run and one ``explain_prepared``
-(driver only). These isolate the per-stage cost that Figs 4–6 sweep."""
+"""Micro-benchmarks of the primitives underlying every score: a cold
+``Mesa.prepare`` and candidate binning (Spark), the scan and the joint
+contingency on the coded table, the estimator pass over a scan, one MCIMR
+run and one ``explain_prepared`` (driver only). These isolate the
+per-stage cost that Figs 4–6 sweep."""
 import contextlib
 import uuid
 
@@ -47,32 +48,32 @@ def prepared(spark, scale):
 
 @pytest.fixture(scope="module")
 def pre_binning(spark, scale):
-    """``(frame, candidates, bins)`` that ``Mesa.prepare`` hands to
+    """``(frame, columns, kwargs)`` that ``Mesa.prepare`` hands to
     ``ensure_binned`` for SO Q1: the integrated, not yet binned frame on its
-    uncached lineage (KG broadcast joins included)."""
+    uncached lineage (KG broadcast joins included), the outcome and every
+    candidate, and the bin count and known distinct counts."""
     ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk)
     cq = get_query("SO", "Q1")
     calls = []
 
     def record(df, cols, **kwargs):
-        calls.append((df, list(cols), kwargs["bins"]))
+        calls.append((df, list(cols), kwargs))
         return ensure_binned(df, cols, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesa_module, "ensure_binned", record)
-        prep = Mesa(spark, MesaConfig(k=scale.k, ipw=False)).prepare(
+        Mesa(spark, MesaConfig(k=scale.k, ipw=False)).prepare(
             ds.df, cq.query, ds.kg, ds.extraction_cols
         )
-    prep.df.unpersist()
-    # The first call bins the outcome; the last bins every candidate.
-    return calls[-1]
+    (call,) = calls
+    return call
 
 
 @pytest.mark.benchmark(group="primitives")
 def bench_ensure_binned(benchmark, pre_binning):
-    df, cands, bins = pre_binning
-    _, mapping = benchmark(ensure_binned, df, cands, bins=bins)
-    assert set(mapping) == set(cands)
+    df, cols, kwargs = pre_binning
+    _, mapping = benchmark(ensure_binned, df, cols, **kwargs)
+    assert set(mapping) == set(cols)
 
 
 @pytest.mark.benchmark(group="primitives")
@@ -88,6 +89,31 @@ def bench_joint_contingency(benchmark, prepared):
     cols = [prepared.o_bin, prepared.t, *prepared.candidates[:3]]
     pdf = benchmark(joint_counts, prepared.table, cols)
     assert len(pdf) > 0
+
+
+@pytest.mark.benchmark(group="primitives")
+def bench_prepare(benchmark, spark, scale):
+    """A cold SO Q1 ``Mesa.prepare``: the context pass, the binning pass and
+    the collect, plus one broadcast per KG relation in each of the two
+    passes over the joined lineage — 7 Spark jobs with adaptive execution
+    off (it would split stages into jobs of their own). Its own seed keeps
+    the lineage apart from the frames the other benchmarks cache."""
+    ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk, seed=1)
+    cq = get_query("SO", "Q1")
+    mesa = Mesa(spark, MesaConfig(k=scale.k))
+    aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try:
+        with spark_jobs(spark, "bench_prepare") as jobs:
+            prep = run_once(
+                benchmark, mesa.prepare, ds.df, cq.query, ds.kg, ds.extraction_cols
+            )
+            n_jobs = jobs()
+    finally:
+        spark.conf.set("spark.sql.adaptive.enabled", aqe)
+    prep.df.unpersist()
+    assert prep.candidates
+    assert n_jobs == 7
 
 
 @pytest.mark.benchmark(group="primitives")

@@ -48,10 +48,10 @@ import numpy as np
 import pandas as pd
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.info_theory import CNT, DENSE_CELLS
+from repro.core.query import sql_ident
 
 ATTR_COL = "__attr"
 VAL_COL = "__val"
@@ -94,12 +94,12 @@ class CodedTable:
         weight_cols = [w for w in dict.fromkeys(weight_cols) if w not in cols]
         schema = df.schema
         proj = [
-            F.col(c)
+            sql_ident(c)
             if isinstance(schema[c].dataType, _NATIVE_TYPES)
-            else F.col(c).cast("string").alias(c)
+            else f"CAST({sql_ident(c)} AS STRING) AS {sql_ident(c)}"
             for c in cols
-        ] + [F.col(w).cast("double").alias(w) for w in weight_cols]
-        tbl = df.select(*proj).toArrow()
+        ] + [f"CAST({sql_ident(w)} AS DOUBLE) AS {sql_ident(w)}" for w in weight_cols]
+        tbl = df.selectExpr(*proj).toArrow()
         codes: dict[str, np.ndarray] = {}
         labels: dict[str, np.ndarray] = {}
         for c in cols:

@@ -2,21 +2,38 @@
 
 ``Mesa.explain`` runs the full pipeline on an :class:`AggQuery`:
 
-1. apply the query context; bin the outcome;
+1. apply the query context;
 2. extract candidate attributes from the knowledge source for every
    extraction column (NED → 1..h-hop properties → universal relation),
    offline-pruning at the entity level before the join;
 3. integrate the universal relation(s) with the input table
    (broadcast left joins, prefixed per extraction column);
-4. offline-prune input-table candidates; bin numeric candidates;
-5. detect selection bias per extracted attribute and fit IPW weights;
-   collect the analysis columns once as a dictionary-coded table;
+4. offline-prune input-table candidates; bin the outcome and the numeric
+   candidates; collect the analysis columns once as a dictionary-coded
+   table;
+5. detect selection bias per extracted attribute and fit IPW weights, on
+   the coded table;
 6. one scan over the coded table → online pruning → MCIMR (sharing the
    scan);
 7. responsibility ranking of the selected attributes.
 
-Stages 1–5 run in Spark; stages 6–7 count on the driver and run no Spark
-job.
+``Mesa.prepare`` (stages 1–5) makes exactly three Spark passes:
+
+* the **context pass**, one aggregation over the filtered input: the row
+  count, ``collect_set`` of every extraction column (the values to link),
+  and ``count`` + ``approx_count_distinct`` of the outcome and of every
+  input-table candidate (the offline row-pruning statistics, whose
+  distinct counts binning reuses);
+* the **binning pass**, one aggregation over the KG-joined lineage: the
+  quantile edges of the outcome and of the numeric candidates, and the
+  distinct counts of the extracted ones;
+* the **collect** of the binned analysis columns into the ``CodedTable``.
+
+The universal relation has one row per value, so the broadcast left join
+keeps the input's rows, partitions and order: the edges are the ones the
+context alone would give. Each KG relation adds one broadcast job to each
+pass over the joined lineage. Selection-bias detection, the propensity
+fit and stages 6–7 count on the driver and run no Spark job.
 
 The result carries the explanation plus everything the experiments report:
 explainability scores, pruning/missingness statistics, and stage timings.
@@ -33,14 +50,21 @@ from repro.core.mcimr import ExplanationResult, mcimr
 from repro.core.pruning import (
     PruneReport,
     offline_prune_entity,
-    offline_prune_rows,
+    offline_row_aggs,
+    offline_row_decide,
     online_prune,
 )
-from repro.core.query import BIN_SUFFIX, AggQuery, apply_context, ensure_binned
+from repro.core.query import (
+    BIN_SUFFIX,
+    AggQuery,
+    apply_context,
+    ensure_binned,
+    sql_ident,
+)
 from repro.core.responsibility import responsibilities
 from repro.kg.extract import Extraction, extract_attributes, integrate
 from repro.kg.graph import KnowledgeGraph
-from repro.missing.ipw import prepare_weights
+from repro.missing.ipw import prepare_weights, weight_exprs
 
 
 @dataclass
@@ -102,7 +126,13 @@ class PreparedQuery:
     baselines and experiments can reuse the identical preparation.
 
     ``table`` holds the analysis columns (outcome bin, exposure, candidates)
-    and weight columns of ``df``, collected once and dictionary-coded."""
+    collected once and dictionary-coded, plus the IPW weight arrays.
+
+    ``df`` is the joined, binned lineage plus the weight columns as SQL
+    ``CASE`` expressions over the outcome bin; they hold the table's exact
+    weights and are null where their attribute is null. ``df`` is marked
+    for caching but ``prepare`` runs no action on it: the first action
+    fills the cache (the drill-down set-up runs ``prep.df.count()``)."""
 
     df: DataFrame
     table: CodedTable
@@ -131,36 +161,47 @@ class Mesa:
         extraction_cols: list[str] | None = None,
         exclude: set[str] | None = None,
     ) -> PreparedQuery:
-        """Stages 1–5: context, extraction, integration, offline pruning,
-        binning, IPW weights. Returns a cached analysis frame and its coded
-        analysis table; raises ``EmptyContextError`` when the context matches
-        no rows."""
+        """Stages 1–5 in three Spark passes: the context pass, the binning
+        pass and the collect (see the module docstring); IPW then runs on
+        the coded table. Raises ``EmptyContextError`` when the context
+        matches no rows."""
         cfg = self.cfg
         timings: dict[str, float] = {}
         exclude = exclude or set()
         t0 = time.perf_counter()
         ctx = apply_context(df, query)
         t_col = query.exposure_col
-        # Adaptive bin count: plug-in CMI needs enough rows per cell, so
-        # small contexts (Covid-19 has 188 rows; a Forbes category ~450)
-        # use coarser bins. cfg.bins is the ceiling.
-        n_ctx = ctx.count()
-        if n_ctx == 0:
-            raise EmptyContextError(
-                f"query context {query.context!r} matches no rows"
-            )
-        bins = min(cfg.bins, max(3, n_ctx // 60))
-        # Outcome binning.
-        ctx, o_map = ensure_binned(ctx, [query.o], bins=bins)
-        o_bin = o_map[query.o]
+        o = query.o
         # Input-table candidates: everything but O, T, context attrs.
         non_cand = (
-            {query.o, o_bin, t_col}
+            {o, o + BIN_SUFFIX, t_col}
             | set(query.t_cols)
             | query.context_attrs()
             | exclude
         )
         input_cands = [c for c in df.columns if c not in non_cand]
+        extraction_cols = list(extraction_cols or []) if kg is not None else []
+        # Context pass: the row count, the distinct values to link per
+        # extraction column, and the offline-pruning statistics (which
+        # include the distinct counts binning needs) of O and the input
+        # candidates.
+        stats = ctx.selectExpr(
+            "count(1) AS __n",
+            *[
+                f"collect_set({sql_ident(c)}) AS {sql_ident('v_' + c)}"
+                for c in extraction_cols
+            ],
+            *offline_row_aggs([o, *input_cands]),
+        ).collect()[0].asDict()
+        n_ctx = stats["__n"]
+        if n_ctx == 0:
+            raise EmptyContextError(
+                f"query context {query.context!r} matches no rows"
+            )
+        # Adaptive bin count: plug-in CMI needs enough rows per cell, so
+        # small contexts (Covid-19 has 188 rows; a Forbes category ~450)
+        # use coarser bins. cfg.bins is the ceiling.
+        bins = min(cfg.bins, max(3, n_ctx // 60))
         timings["context"] = time.perf_counter() - t0
 
         # Extraction + entity-level offline pruning + integration.
@@ -168,44 +209,40 @@ class Mesa:
         extracted_cols: list[str] = []
         offline_report = PruneReport()
         n_extracted_raw = 0
-        if kg is not None and extraction_cols:
-            multi = len(extraction_cols) > 1
-            for col in extraction_cols:
-                values = [
-                    r[col]
-                    for r in ctx.select(col).distinct().collect()
-                    if r[col] is not None
-                ]
-                ex: Extraction = extract_attributes(
-                    self.spark,
-                    kg,
-                    [str(v) for v in values],
-                    hops=cfg.hops,
-                    list_agg=cfg.list_agg,
+        multi = len(extraction_cols) > 1
+        for col in extraction_cols:
+            ex: Extraction = extract_attributes(
+                self.spark,
+                kg,
+                sorted(str(v) for v in stats[f"v_{col}"]),
+                hops=cfg.hops,
+                list_agg=cfg.list_agg,
+            )
+            n_extracted_raw += len(ex.attrs)
+            attrs = ex.attrs
+            prefix = f"{col}__" if multi else ""
+            if cfg.offline_pruning:
+                attrs, rep = offline_prune_entity(
+                    ex.wide,
+                    attrs,
+                    max_missing=cfg.max_missing,
+                    unique_ratio=cfg.unique_ratio,
                 )
-                n_extracted_raw += len(ex.attrs)
-                attrs = ex.attrs
-                if cfg.offline_pruning:
-                    attrs, rep = offline_prune_entity(
-                        ex.wide,
-                        attrs,
-                        max_missing=cfg.max_missing,
-                        unique_ratio=cfg.unique_ratio,
-                    )
-                    prefix = f"{col}__" if multi else ""
-                    for a, reason in rep.dropped.items():
-                        offline_report.drop(prefix + a, reason)
-                prefix = f"{col}__" if multi else ""
-                ctx, new_cols = integrate(ctx, ex, col, prefix=prefix, attrs=attrs)
-                extracted_cols.extend(new_cols)
+                for a, reason in rep.dropped.items():
+                    offline_report.drop(prefix + a, reason)
+            ctx, new_cols = integrate(ctx, ex, col, prefix=prefix, attrs=attrs)
+            extracted_cols.extend(new_cols)
         timings["extract"] = time.perf_counter() - t0
 
-        # Offline pruning of input-table candidates (row level).
+        # Offline pruning of input-table candidates (row level), decided
+        # from the context pass's statistics.
         t0 = time.perf_counter()
         if cfg.offline_pruning and input_cands:
-            input_cands, rep = offline_prune_rows(
+            input_cands, rep = offline_row_decide(
                 ctx,
                 input_cands,
+                stats,
+                n_ctx,
                 max_missing=cfg.max_missing,
                 unique_ratio=cfg.unique_ratio,
             )
@@ -216,15 +253,29 @@ class Mesa:
         )
         timings["offline_prune"] = time.perf_counter() - t0
 
-        # Binning of numeric candidates.
+        # Binning pass over the joined lineage: the outcome and every
+        # numeric candidate; only extracted columns still need a distinct
+        # count.
         t0 = time.perf_counter()
         all_cands = input_cands + extracted_cols
-        ctx, cand_map = ensure_binned(ctx, all_cands, bins=bins)
-        analysis_cols = [cand_map[c] for c in all_cands]
-        extracted_analysis = [cand_map[c] for c in extracted_cols]
+        ctx, bin_map = ensure_binned(
+            ctx,
+            [o, *all_cands],
+            bins=bins,
+            distinct={c: stats[f"d_{c}"] for c in [o, *input_cands]},
+        )
+        o_bin = bin_map[o]
+        analysis_cols = [bin_map[c] for c in all_cands]
+        extracted_analysis = [bin_map[c] for c in extracted_cols]
         timings["binning"] = time.perf_counter() - t0
 
-        # IPW weights for extracted attributes with selection bias.
+        # The one collect of the analysis columns.
+        t0 = time.perf_counter()
+        table = CodedTable.collect(ctx, [o_bin, t_col, *analysis_cols])
+        timings["collect"] = time.perf_counter() - t0
+
+        # IPW weights for extracted attributes with selection bias, on the
+        # driver.
         t0 = time.perf_counter()
         weights: dict[str, str] = {}
         biased: set[str] = set()
@@ -233,8 +284,8 @@ class Mesa:
             # observable that corrects MNAR-in-E missingness (the exposure
             # is a near-deterministic predictor of entity-level missingness
             # and would make the weights degenerate).
-            ctx, weights, biased = prepare_weights(
-                ctx,
+            table, weights, biased = prepare_weights(
+                table,
                 extracted_analysis,
                 o_bin=o_bin,
                 t=t_col,
@@ -242,17 +293,11 @@ class Mesa:
                 alpha=cfg.alpha,
                 eps_bits=cfg.eps_bits / 2,
             )
+        if weights:
+            ctx = ctx.withColumns(weight_exprs(table, weights, [o_bin]))
         timings["ipw"] = time.perf_counter() - t0
-
-        # The one collect of the analysis columns also fills the cache.
-        t0 = time.perf_counter()
-        ctx = ctx.cache()
-        table = CodedTable.collect(
-            ctx, [o_bin, t_col, *analysis_cols], list(weights.values())
-        )
-        timings["collect"] = time.perf_counter() - t0
         return PreparedQuery(
-            df=ctx,
+            df=ctx.cache(),
             table=table,
             o_bin=o_bin,
             t=t_col,

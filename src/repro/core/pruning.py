@@ -6,7 +6,8 @@ Two families, exactly as the paper stages them:
   never be interesting explanations: constant value, >90% missing values,
   or near-unique "id-like" high-entropy columns (WIKIID). Runs at the
   entity level on the extracted universal relation (cheap pandas) and at
-  the row level for input-table candidates (one Spark aggregation pass).
+  the row level for input-table candidates (non-null and approximate
+  distinct counts, which ``Mesa.prepare`` folds into its context pass).
 * **Online (query-specific)** — once O and T are known: drop attributes
   logically dependent on T or O (approximate FDs, ``H(T|E) ≈ H(E|T) ≈ 0``)
   and attributes with low individual relevance (``O ⟂ E | C`` and
@@ -16,16 +17,17 @@ Two families, exactly as the paper stages them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.contingency import VAL_COL
 from repro.core.info_theory import (
     cmi_corrected_from_counts,
     cond_entropy_from_counts,
 )
+from repro.core.query import is_numeric, sql_ident
 
 
 @dataclass
@@ -78,29 +80,38 @@ def offline_prune_entity(
     return kept, report
 
 
-def offline_prune_rows(
+def offline_row_aggs(attrs: Sequence[str]) -> list[str]:
+    """The aggregates behind row-level offline pruning, as SQL: per
+    attribute its approximate distinct count ``d_<a>`` and its non-null
+    count ``n_<a>``.
+
+    ``Mesa.prepare`` folds them into its context pass, which also counts
+    the rows."""
+    return [
+        agg
+        for a in attrs
+        for agg in (
+            f"approx_count_distinct({sql_ident(a)}) AS {sql_ident('d_' + a)}",
+            f"count({sql_ident(a)}) AS {sql_ident('n_' + a)}",
+        )
+    ]
+
+
+def offline_row_decide(
     df: DataFrame,
-    attrs: list[str],
+    attrs: Sequence[str],
+    stats: Mapping[str, int],
+    n: int,
     *,
     max_missing: float = 0.9,
     unique_ratio: float = 0.95,
 ) -> tuple[list[str], PruneReport]:
-    """Offline pruning of row-level candidates in one distributed pass."""
+    """Offline pruning of row-level candidates from ``offline_row_aggs``'
+    statistics over ``n`` rows (``df`` supplies the column types)."""
     report = PruneReport()
-    if not attrs:
-        return [], report
-    from repro.core.query import is_numeric
-
-    aggs = []
-    for a in attrs:
-        aggs.append(F.approx_count_distinct(a).alias(f"d_{a}"))
-        aggs.append(F.count(F.col(a)).alias(f"n_{a}"))
-    aggs.append(F.count(F.lit(1)).alias("__n"))
-    row = df.agg(*aggs).collect()[0]
-    n = row["__n"]
     kept: list[str] = []
     for a in attrs:
-        n_obs, n_dist = row[f"n_{a}"], row[f"d_{a}"]
+        n_obs, n_dist = stats[f"n_{a}"], stats[f"d_{a}"]
         if n and n_obs < (1 - max_missing) * n:
             report.drop(a, "missing")
         elif n_dist <= 1:
@@ -114,6 +125,27 @@ def offline_prune_rows(
         else:
             kept.append(a)
     return kept, report
+
+
+def offline_prune_rows(
+    df: DataFrame,
+    attrs: list[str],
+    *,
+    max_missing: float = 0.9,
+    unique_ratio: float = 0.95,
+) -> tuple[list[str], PruneReport]:
+    """Offline pruning of row-level candidates in one distributed pass."""
+    if not attrs:
+        return [], PruneReport()
+    row = df.selectExpr(*offline_row_aggs(attrs), "count(1) AS __n").collect()[0]
+    return offline_row_decide(
+        df,
+        attrs,
+        row.asDict(),
+        row["__n"],
+        max_missing=max_missing,
+        unique_ratio=unique_ratio,
+    )
 
 
 def online_prune(

@@ -8,6 +8,7 @@ paper's table. ``jobs/*.py`` are thin spark-submit wrappers around these;
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.contingency import scan_counts
+from repro.core.contingency import CodedTable, scan_counts
 from repro.core.mcimr import mcimr
 from repro.core.mesa import Mesa, MesaConfig, display_name
 from repro.core.pruning import offline_prune_rows, online_prune
@@ -401,21 +402,21 @@ def fig3_missing_robustness(
             for a in targets:
                 if frac > 0:
                     df_m = (
-                        remove_mcar(df_m, a, frac, seed=hash(a) % 1000)
+                        remove_mcar(df_m, a, frac, seed=zlib.crc32(a.encode()) % 1000)
                         if mode == "mcar"
                         else remove_biased_top(df_m, a, frac)
                     )
             df_m = df_m.cache()
             # MESA path: complete cases + IPW weights where bias detected.
-            df_w, weights, _ = prepare_weights(
-                df_m,
+            table, weights, _ = prepare_weights(
+                CodedTable.collect(df_m, [prep.o_bin, prep.t, *prep.candidates]),
                 targets,
                 o_bin=prep.o_bin,
                 t=prep.t,
                 features=[prep.o_bin],
             )
             res = mcimr(
-                df_w,
+                table,
                 prep.candidates,
                 o_bin=prep.o_bin,
                 t=prep.t,
@@ -463,7 +464,7 @@ def missingness_stats(
         )
         fracs = missing_fraction(prep.df, prep.extracted_attrs)
         biased = detect_selection_bias_batch(
-            prep.df, prep.extracted_attrs, o_bin=prep.o_bin, t=prep.t
+            prep.table, prep.extracted_attrs, o_bin=prep.o_bin, t=prep.t
         )
         rows.append(
             {

@@ -28,6 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.query import sql_ident
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.ned import link_values
 
@@ -147,11 +148,13 @@ def extract_attributes(
     )
     # pandas NaN arrives in Spark as a double NaN *value*, not SQL null —
     # which would silently defeat complete-case filtering and binning.
-    for c, dtype in table.dtypes:
-        if dtype == "double":
-            table = table.withColumn(
-                c, F.when(F.isnan(F.col(c)), F.lit(None)).otherwise(F.col(c))
-            )
+    nan_to_null = {
+        c: F.expr(f"CASE WHEN isnan({sql_ident(c)}) THEN NULL ELSE {sql_ident(c)} END")
+        for c, dtype in table.dtypes
+        if dtype == "double"
+    }
+    if nan_to_null:
+        table = table.withColumns(nan_to_null)
     return Extraction(table=table, attrs=attrs, links=links, wide=wide)
 
 
@@ -172,9 +175,9 @@ def integrate(
     """
     attrs = list(attrs) if attrs is not None else list(extraction.attrs)
     out_names = [prefix + a for a in attrs]
-    right = extraction.table.select(
-        F.col(KEY_COL),
-        *[F.col(a).alias(prefix + a) for a in attrs],
+    right = extraction.table.selectExpr(
+        sql_ident(KEY_COL),
+        *[f"{sql_ident(a)} AS {sql_ident(prefix + a)}" for a in attrs],
     )
     joined = df.join(
         F.broadcast(right),

@@ -6,34 +6,47 @@ analysis is unbiased when the recoverability conditions of Props 3.1/3.2
 hold; otherwise IPW reweights complete cases by
 ``W = P(R_E = 1) / P(R_E = 1 | X)``.
 
-Implementation notes (all dataflow-first):
+``Mesa`` runs all of it on the driver, over the coded table it collected
+(null = code -1, so ``R_E`` is ``codes[E] >= 0``):
 
-* **Detection** — G-tests of ``R_E`` against the binned outcome and the
-  exposure, from one small contingency per attribute. Dependence on either
-  violates the premise of Prop 3.1's recoverability, so weights are added
-  (this is the paper's "check if weights are needed").
+* **Detection** — G-tests of ``R_E`` against the binned outcome, from one
+  ``scan_counts`` of an indicator table. Dependence on O violates the
+  premise of Prop 3.1's recoverability, so weights are added (this is the
+  paper's "check if weights are needed").
 * **Propensity model** — the paper fits a logistic regression for
-  ``P(R_E = 1 | X)`` over the input-dataset attributes. Since every feature
-  is categorical/binned, we aggregate ``groupBy(features) → (n_observed,
-  n_total)`` in Spark (one shuffle), then fit a weighted logistic
-  regression by IRLS in numpy on that tiny grouped design — identical
-  likelihood to row-level fitting, at entity-combination cost instead of
-  |D| cost.
-* **Weights** — joined back as a per-attribute weight column; incomplete
-  rows get null weight (they are dropped per attribute by the contingency
-  counts anyway).
+  ``P(R_E = 1 | X)`` over the input-dataset attributes. Every feature is
+  categorical/binned, so ``np.bincount`` over the feature codes gives
+  ``(n_observed, n_total)`` per feature cell, and a weighted logistic
+  regression is fitted by IRLS in numpy on that tiny grouped design —
+  identical likelihood to row-level fitting, at cell cost instead of |D|
+  cost.
+* **Weights** — one float64 array per attribute on the table; 1.0 where
+  the attribute or a feature is null (an incomplete row is dropped per
+  attribute by the contingency counts anyway). ``weight_exprs`` writes the
+  same values as lazy SQL ``CASE`` columns for the Spark frame.
+
+``fit_propensity`` and ``add_ipw_weight`` are the single-attribute
+DataFrame versions of the fit and the join-back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.contingency import joint_counts
+from repro.core.contingency import (
+    VAL_COL,
+    CodedTable,
+    Data,
+    as_table,
+    scan_counts,
+)
 from repro.core.info_theory import is_conditionally_independent
+from repro.core.query import sql_double, sql_ident
 
 WEIGHT_PREFIX = "__w__"
 
@@ -47,7 +60,7 @@ def selection_indicator(df: DataFrame, attr: str, out: str) -> DataFrame:
 
 
 def detect_selection_bias(
-    df: DataFrame,
+    data: Data,
     attr: str,
     *,
     o_bin: str,
@@ -56,14 +69,9 @@ def detect_selection_bias(
     eps_bits: float = 0.02,
 ) -> bool:
     """True iff the missingness of ``attr`` is associated with the outcome
-    (single-attribute variant of :func:`detect_selection_bias_batch`; see
-    there for why only O-association flags bias)."""
-    del t  # kept for signature stability; see batch variant's docstring
-    r = "__r"
-    with_r = selection_indicator(df, attr, r)
-    pdf = joint_counts(with_r, [r, o_bin])
-    return not is_conditionally_independent(
-        pdf, r, o_bin, alpha=alpha, eps_bits=eps_bits
+    (:func:`detect_selection_bias_batch` for one attribute)."""
+    return attr in detect_selection_bias_batch(
+        data, [attr], o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
     )
 
 
@@ -168,8 +176,12 @@ def add_ipw_weight(
     return joined, wcol
 
 
+#: labels of a selection indicator's codes (``R = 0``, ``R = 1``)
+_INDICATOR_LABELS = np.array(["0", "1"], dtype=object)
+
+
 def detect_selection_bias_batch(
-    df: DataFrame,
+    data: Data,
     attrs: list[str],
     *,
     o_bin: str,
@@ -178,8 +190,9 @@ def detect_selection_bias_batch(
     eps_bits: float = 0.02,
 ) -> set[str]:
     """Batched §3.2 detection: which attributes' missingness is associated
-    with the *outcome*. One collect regardless of |attrs| — the
-    missingness indicators are scanned exactly like candidate attributes.
+    with the *outcome*. The missingness indicators ``codes[a] >= 0`` form a
+    table of their own, scanned against ``o_bin`` exactly like candidate
+    attributes; a DataFrame is collected once first.
 
     Prop 3.1's recoverability conditions are about O-dependence of the
     selection indicator (``O ⟂ R_E | …``); dependence of R_E on the
@@ -190,18 +203,24 @@ def detect_selection_bias_batch(
     flags an attribute. ``eps_bits`` is the practical effect floor on the
     bias-corrected MI.
     """
-    from repro.core.contingency import VAL_COL, scan_counts
-
+    del t  # kept for signature stability; see above
     if not attrs:
         return set()
-    ind_cols = {a: f"__r{i}" for i, a in enumerate(attrs)}
-    with_r = df
-    for a, r in ind_cols.items():
-        with_r = with_r.withColumn(r, F.col(a).isNotNull().cast("int"))
+    table = as_table(data, [o_bin, *attrs])
+    ind = {a: f"__r{i}" for i, a in enumerate(attrs)}
+    indicators = CodedTable(
+        {
+            o_bin: table.codes[o_bin],
+            **{r: (table.codes[a] >= 0).astype(np.int8) for a, r in ind.items()},
+        },
+        {o_bin: table.labels[o_bin], **{r: _INDICATOR_LABELS for r in ind.values()}},
+        {},
+        table.n_rows,
+    )
+    scan = scan_counts(indicators, [o_bin], list(ind.values()))
     biased: set[str] = set()
-    scan = scan_counts(with_r, [o_bin], [ind_cols[a] for a in attrs])
-    for a in attrs:
-        pdf = scan[ind_cols[a]]
+    for a, r in ind.items():
+        pdf = scan[r]
         if pdf.empty or pdf[VAL_COL].nunique() < 2:
             continue  # fully observed or fully missing: no bias signal
         # Biased iff the bias-corrected MI clears ``eps_bits`` and the
@@ -213,8 +232,32 @@ def detect_selection_bias_batch(
     return biased
 
 
+def _feature_cells(
+    table: CodedTable, features: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The rows with every feature observed, grouped by feature cell.
+
+    Returns those rows' indices, each one's cell index, and per feature
+    the code of every cell (cells in mixed-radix key order)."""
+    keep = np.ones(table.n_rows, dtype=bool)
+    for f in features:
+        keep &= table.codes[f] >= 0
+    rows = np.flatnonzero(keep)
+    sizes = [len(table.labels[f]) for f in features]
+    key = np.zeros(len(rows), dtype=np.int64)
+    for f, k in zip(features, sizes):
+        key *= k
+        key += table.codes[f][rows]
+    cells, cell_of = np.unique(key, return_inverse=True)
+    codes = []
+    for k in reversed(sizes):
+        cells, c = np.divmod(cells, k)
+        codes.append(c)
+    return rows, cell_of.ravel(), codes[::-1]
+
+
 def prepare_weights(
-    df: DataFrame,
+    table: CodedTable,
     attrs: list[str],
     *,
     o_bin: str,
@@ -222,68 +265,89 @@ def prepare_weights(
     features: list[str],
     alpha: float = 0.05,
     eps_bits: float = 0.005,
-) -> tuple[DataFrame, dict[str, str], set[str]]:
-    """Full §3.2 pipeline: detect bias per attribute, fit propensities,
-    attach weight columns.
+) -> tuple[CodedTable, dict[str, str], set[str]]:
+    """Full §3.2 pipeline on the coded table: detect bias per attribute,
+    fit propensities, attach weight columns.
 
-    Detection is batched (one scan). Propensity fitting is batched
-    too: ONE ``groupBy(features)`` aggregates the observed/total counts of
-    every biased attribute simultaneously, each attribute gets its own
-    IRLS fit on that shared grouped design, and all weight columns join
-    back through a single broadcast lookup.
+    Detection is one scan of the indicator table. The grouped design
+    ((observed, total) per feature cell) is counted once per attribute
+    with ``np.bincount`` over the shared feature cells; each biased
+    attribute gets its own IRLS fit on it.
 
-    Returns ``(df_with_weights, {attr: weight_col}, biased_attrs)``.
+    Returns ``(table_with_weights, {attr: weight_col}, biased_attrs)``.
     Attributes without missing values or without detected bias get no
     weight column (unit weight in the scan).
     """
     if not attrs:
-        return df, {}, set()
+        return table, {}, set()
     biased = detect_selection_bias_batch(
-        df, attrs, o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
+        table, attrs, o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
     )
     if not biased:
-        return df, {}, set()
-    blist = sorted(biased)
-    grouped = (
-        df.groupBy(*[F.col(f).cast("string").alias(f) for f in features])
-        .agg(
-            F.count(F.lit(1)).cast("double").alias("__tot"),
-            *[
-                F.sum(F.col(a).isNotNull().cast("int"))
-                .cast("double")
-                .alias(f"__obs{i}")
-                for i, a in enumerate(blist)
-            ],
-        )
-        .toPandas()
-        .dropna(subset=features)
+        return table, {}, set()
+    rows, cell_of, cell_codes = _feature_cells(table, features)
+    n_cells = len(cell_codes[0])
+    design = pd.DataFrame(
+        {f: table.labels[f][c] for f, c in zip(features, cell_codes)}
     )
-    dummies = pd.get_dummies(
-        grouped[features].astype(str), drop_first=True, dtype=float
-    )
-    X = np.column_stack([np.ones(len(grouped)), dummies.to_numpy()])
-    totals = grouped["__tot"].to_numpy()
-    lookup = grouped[features].copy()
+    # One-hot encode (drop-first per feature; intercept column added).
+    dummies = pd.get_dummies(design.astype(str), drop_first=True, dtype=float)
+    X = np.column_stack([np.ones(n_cells), dummies.to_numpy()])
+    totals = np.bincount(cell_of, minlength=n_cells).astype(np.float64)
     weights: dict[str, str] = {}
-    for i, a in enumerate(blist):
-        successes = grouped[f"__obs{i}"].to_numpy()
+    for a in sorted(biased):
+        observed = table.codes[a][rows] >= 0
+        successes = np.bincount(cell_of[observed], minlength=n_cells).astype(
+            np.float64
+        )
         beta = _irls_logistic(X, successes, totals)
         p_hat = np.clip(
             1.0 / (1.0 + np.exp(-np.clip(X @ beta, -30, 30))), 0.01, 1.0
         )
         marginal = successes.sum() / totals.sum()
+        w = np.ones(table.n_rows)
+        w[rows[observed]] = (marginal / p_hat)[cell_of[observed]]
         wcol = weight_col_name(a)
-        lookup[wcol] = marginal / p_hat
+        table = table.with_weight(wcol, w)
         weights[a] = wcol
-    spark = df.sparkSession
-    lkp = spark.createDataFrame(lookup)
-    conds = [df[f].cast("string") == lkp[f] for f in features]
-    joined = df.join(F.broadcast(lkp), conds, "left")
-    for f in features:
-        joined = joined.drop(lkp[f])
-    for a, wcol in weights.items():
-        joined = joined.withColumn(
-            wcol,
-            F.when(F.col(a).isNotNull(), F.coalesce(F.col(wcol), F.lit(1.0))),
+    return table, weights, biased
+
+
+def weight_exprs(
+    table: CodedTable, weights: Mapping[str, str], features: Sequence[str]
+) -> dict[str, Column]:
+    """The table's weight columns as Spark SQL ``CASE`` expressions over
+    ``CAST(feature AS STRING)``, for ``withColumns`` on the frame the table
+    was collected from.
+
+    Each holds the table's exact values: the weight of a feature cell where
+    the attribute is observed, 1.0 where a feature is null, and null where
+    the attribute is null.
+    """
+    rows, cell_of, cell_codes = _feature_cells(table, features)
+    conds = [
+        " AND ".join(
+            f"CAST({sql_ident(f)} AS STRING) = {_sql_str(table.labels[f][codes[i]])}"
+            for f, codes in zip(features, cell_codes)
         )
-    return joined, weights, biased
+        for i in range(len(cell_codes[0]))
+    ]
+    out: dict[str, Column] = {}
+    for a, wcol in weights.items():
+        observed = table.codes[a][rows] >= 0
+        # Every row of a cell carries the cell's weight: keep any one.
+        cell_w = np.full(len(conds), np.nan)
+        cell_w[cell_of[observed]] = table.weights[wcol][rows[observed]]
+        whens = "".join(
+            f" WHEN {conds[i]} THEN {sql_double(float(cell_w[i]))}"
+            for i in np.flatnonzero(~np.isnan(cell_w))
+        )
+        out[wcol] = F.expr(
+            f"CASE WHEN {sql_ident(a)} IS NULL THEN NULL{whens} ELSE 1.0D END"
+        )
+    return out
+
+
+def _sql_str(v: str) -> str:
+    """``v`` as a Spark SQL string literal."""
+    return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"

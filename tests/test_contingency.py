@@ -1,5 +1,6 @@
 """Contingency counts on the coded table, checked cell-for-cell against
-DuckDB, and the Spark job budget of the explain phase."""
+DuckDB; the Spark job budget of prepare and of the explain phase; and the
+IPW weights prepare attaches."""
 import datetime
 import decimal
 import uuid
@@ -7,6 +8,7 @@ import uuid
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.core.contingency import (
@@ -23,6 +25,11 @@ from repro.core.subgroups import top_k_unexplained
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 from repro.oracle import assert_equivalent
+from tests.ipw_reference import (
+    assert_weights_match,
+    duckdb_weights,
+    spark_detection,
+)
 
 
 @pytest.fixture(scope="module")
@@ -360,11 +367,16 @@ class TestCodedTable:
 
 
 @pytest.fixture(scope="module")
-def so_prepared(spark):
-    ds = make_so(spark, sf=0.02, n_junk=4, seed=2)
+def so_ds(spark):
+    return make_so(spark, sf=0.02, n_junk=4, seed=2)
+
+
+@pytest.fixture(scope="module")
+def so_prepared(spark, so_ds):
     cq = get_query("SO", "Q1")
     mesa = Mesa(spark)
-    prep = mesa.prepare(ds.df, cq.query, ds.kg, ds.extraction_cols)
+    prep = mesa.prepare(so_ds.df, cq.query, so_ds.kg, so_ds.extraction_cols)
+    prep.df.count()  # fill the cache, as the drill-down set-up does
     yield mesa, prep, cq
     prep.df.unpersist()
 
@@ -416,3 +428,66 @@ class TestExplainJobs:
         )
         assert sg.nodes_explored > 0
         assert jobs == 1
+
+
+class TestPrepare:
+    """``Mesa.prepare``: three Spark passes, and IPW weights on the coded
+    table that equal the frame's weight columns and independent references."""
+
+    def test_prepare_runs_seven_jobs(self, spark, so_ds):
+        # The context pass, the binning pass and the collect, plus one
+        # broadcast of each of SO's two KG relations in the two passes over
+        # the joined lineage.
+        cq = get_query("SO", "Q1")
+        prep, jobs = _spark_jobs(
+            spark,
+            lambda: Mesa(spark).prepare(
+                so_ds.df, cq.query, so_ds.kg, so_ds.extraction_cols
+            ),
+        )
+        # No unpersist: the frame's plan equals the cached so_prepared one.
+        assert prep.weights
+        assert jobs == 7
+
+    def test_frame_weights_equal_table_weights(self, so_prepared):
+        _, prep, _ = so_prepared
+        o = prep.o_bin
+        assert prep.biased and set(prep.weights) == prep.biased
+        for a, wcol in prep.weights.items():
+            got = prep.df.select(
+                F.col(o).cast("string").alias("o"),
+                F.col(a).isNull().alias("missing"),
+                F.col(wcol).alias("w"),
+            ).toPandas()
+            assert (got["missing"] == got["w"].isna()).all(), a
+            frame_map = {
+                (k if isinstance(k, str) else None): set(g["w"])
+                for k, g in got[~got["missing"]].groupby("o", dropna=False)
+            }
+            t = prep.table
+            rows = t.codes[a] >= 0
+            o_codes = t.codes[o][rows]
+            labels = np.where(o_codes >= 0, t.labels[o][o_codes], None)
+            table_map: dict = {}
+            for k, w in zip(labels, t.weights[wcol][rows]):
+                table_map.setdefault(k, set()).add(w)
+            assert frame_map == table_map, a
+            assert all(len(ws) == 1 for ws in table_map.values()), a
+
+    def test_ipw_matches_reference(self, so_prepared):
+        mesa, prep, _ = so_prepared
+        assert prep.biased == spark_detection(
+            prep.df,
+            prep.extracted_attrs,
+            o_bin=prep.o_bin,
+            alpha=mesa.cfg.alpha,
+            eps_bits=mesa.cfg.eps_bits / 2,
+        )
+        for a, wcol in prep.weights.items():
+            assert_weights_match(
+                prep.table,
+                a,
+                wcol,
+                duckdb_weights(prep.df, a, o_bin=prep.o_bin),
+                o_bin=prep.o_bin,
+            )

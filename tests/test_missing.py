@@ -4,13 +4,14 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.contingency import joint_counts
+from repro.core.contingency import CodedTable, joint_counts
 from repro.core.info_theory import cmi_from_counts
 from repro.missing.impute import impute_mean
 from repro.missing.ipw import (
     _irls_logistic,
     add_ipw_weight,
     detect_selection_bias,
+    detect_selection_bias_batch,
     fit_propensity,
     prepare_weights,
     weight_col_name,
@@ -19,6 +20,11 @@ from repro.missing.mechanisms import (
     missing_fraction,
     remove_biased_top,
     remove_mcar,
+)
+from tests.ipw_reference import (
+    assert_weights_match,
+    duckdb_weights,
+    spark_detection,
 )
 
 
@@ -196,16 +202,73 @@ class TestIPWCorrection:
     def test_prepare_weights_end_to_end(self, base):
         df = base.withColumn("e", F.when(F.col("o_bin") < 2, F.col("e")))
         out, weights, biased = prepare_weights(
-            df, ["e"], o_bin="o_bin", t="t", features=["t", "o_bin"]
+            CodedTable.collect(df, ["t", "o_bin", "e"]),
+            ["e"],
+            o_bin="o_bin",
+            t="t",
+            features=["t", "o_bin"],
         )
         assert "e" in biased
-        assert weights["e"] in out.columns
+        assert weights["e"] in out.weights
 
     def test_prepare_weights_skips_complete_attrs(self, base):
         out, weights, biased = prepare_weights(
-            base, ["e"], o_bin="o_bin", t="t", features=["t"]
+            CodedTable.collect(base, ["t", "o_bin", "e"]),
+            ["e"],
+            o_bin="o_bin",
+            t="t",
+            features=["t"],
         )
         assert weights == {} and biased == set()
+
+
+@pytest.fixture(scope="module")
+def missing_frames(base):
+    """``e`` nulled by three mechanisms: wholly by O (every O cell fully
+    observed or fully missing), partly by O, and completely at random."""
+    frames = {
+        "mnar": base.withColumn("e", F.when(F.col("o_bin") < 2, F.col("e"))),
+        "mnar_partial": base.withColumn(
+            "e",
+            F.when(F.rand(13) < 0.9 - 0.2 * F.col("o_bin"), F.col("e")),
+        ),
+        "mcar": remove_mcar(base, "e", 0.3, seed=3),
+    }
+    frames = {k: df.cache() for k, df in frames.items()}
+    yield frames
+    for df in frames.values():
+        df.unpersist()
+
+
+class TestCodedIPW:
+    """Detection and weights on the coded table against independent
+    references: the Spark indicator scan and DuckDB grouped counts."""
+
+    @pytest.mark.parametrize(
+        "name,want", [("mnar", True), ("mnar_partial", True), ("mcar", False)]
+    )
+    def test_detection_matches_spark_indicator_scan(self, missing_frames, name, want):
+        df = missing_frames[name]
+        table = CodedTable.collect(df, ["o_bin", "t", "e"])
+        got = detect_selection_bias_batch(table, ["e"], o_bin="o_bin", t="t")
+        assert got == spark_detection(df, ["e"], o_bin="o_bin")
+        assert got == ({"e"} if want else set())
+
+    @pytest.mark.parametrize("name", ["mnar", "mnar_partial"])
+    def test_weights_match_duckdb_counts(self, missing_frames, name):
+        df = missing_frames[name]
+        table, weights, biased = prepare_weights(
+            CodedTable.collect(df, ["o_bin", "t", "e"]),
+            ["e"],
+            o_bin="o_bin",
+            t="t",
+            features=["o_bin"],
+        )
+        assert biased == {"e"}
+        assert_weights_match(
+            table, "e", weights["e"], duckdb_weights(df, "e", o_bin="o_bin"),
+            o_bin="o_bin",
+        )
 
 
 class TestImpute:

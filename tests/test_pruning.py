@@ -74,9 +74,9 @@ class TestOfflineRows:
 
     def test_empty_attrs(self, spark, wide):
         df = spark.createDataFrame(wide)
-        assert offline_prune_rows(df, []) == ([], pytest.approx) or True
-        kept, _ = offline_prune_rows(df, [])
+        kept, rep = offline_prune_rows(df, [])
         assert kept == []
+        assert rep.dropped == {}
 
 
 @pytest.fixture(scope="module")

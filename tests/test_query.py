@@ -252,3 +252,49 @@ class TestFusedBinning:
             for i, e in enumerate(edges, start=1):
                 rank = np.searchsorted(exact, e, side="right") / n
                 assert abs(rank - i / bins) <= 0.001 + 1 / n, (c, i, e)
+
+
+#: interior edges whose ``repr`` has an exponent, a negative zero and
+#: negative values
+_EDGES = [-2.5, -0.0, 1e-05, 3.0, 1.5e300]
+
+_BIN_VALUES = {
+    "int": [-2147483648, -3, -2, -1, 0, 1, 3, 4, 2147483647, None],
+    "long": [-(2**62), -3, -2, 0, 3, 4, 2**62, None],
+    "decimal(20,6)": [
+        Decimal("-2.500001"), Decimal("-2.5"), Decimal("-0.000001"), Decimal("0"),
+        Decimal("0.000009"), Decimal("0.00001"), Decimal("0.000011"),
+        Decimal("3"), Decimal("3.000001"), None,
+    ],
+    "double": [
+        float("-inf"), -1e308, -2.5000000000000004, -2.5, -2.4999999999999996,
+        -1e-300, -0.0, 0.0, 5e-300, 9.999999999999999e-06, 1e-05,
+        1.0000000000000002e-05, 2.9999999999999996, 3.0, 3.0000000000000004,
+        1.4999999999999999e300, 1.5e300, 1.5000000000000001e300, float("inf"),
+        float("nan"), None,
+    ],
+}
+
+
+class TestBinSql:
+    """The SQL ``CASE`` bins equal ``np.searchsorted(edges, x, "left")``;
+    null and NaN stay null."""
+
+    @pytest.mark.parametrize("dtype", list(_BIN_VALUES))
+    def test_bins_equal_searchsorted(self, spark, dtype):
+        vals = _BIN_VALUES[dtype]
+        df = spark.createDataFrame(list(enumerate(vals)), f"id long, x {dtype}")
+        got = (
+            bin_numeric(df, "x", edges=_EDGES)
+            .orderBy("id")
+            .select("x__b")
+            .toPandas()["x__b"]
+            .tolist()
+        )
+        want = [
+            None
+            if v is None or np.isnan(float(v))
+            else int(np.searchsorted(_EDGES, float(v), side="left"))
+            for v in vals
+        ]
+        assert [None if pd.isna(g) else int(g) for g in got] == want
