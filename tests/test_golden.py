@@ -3,9 +3,12 @@
 For the nine small catalog queries (SO at sf=0.05, Covid-19 and Forbes,
 Q1-Q3 each) at a fixed seed, ``golden_explanations.json`` pins the
 explanation, the MCIMR trace, the responsibility order and the base and
-final I(O;T|C,E). A refactor that claims "same behaviour" must pass this
-test without editing the file. A deliberate behaviour change regenerates
-it and says why:
+final I(O;T|C,E). ``golden_baselines.json`` pins, per query, the Top-K,
+HypDB and Brute-Force selections and base/final scores as the evaluation
+harness computes them (one prepare per query, the harness's Brute-Force
+caps; a refused Brute-Force run is pinned by its error). A refactor that
+claims "same behaviour" must pass these tests without editing the files.
+A deliberate behaviour change regenerates them and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,8 +28,11 @@ from repro.datasets.covid import make_covid
 from repro.datasets.forbes import make_forbes
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
+from repro.eval.harness import run_all_methods
 
 GOLDEN = Path(__file__).with_name("golden_explanations.json")
+GOLDEN_BASELINES = Path(__file__).with_name("golden_baselines.json")
+BASELINES = ("Top-K", "HypDB", "Brute-Force")
 SEED = 1
 N_JUNK = 12
 SO_SF = 0.05
@@ -57,9 +63,30 @@ def fingerprint(spark, ds, dataset: str, qid: str) -> dict:
     }
 
 
+def baselines_fingerprint(spark, ds, dataset: str, qid: str) -> dict:
+    """What the golden baselines file pins for one catalog query."""
+    cq = get_query(dataset, qid)
+    out = run_all_methods(spark, ds, cq, cfg=MesaConfig(), methods=BASELINES)
+    return {
+        m: {"error": oc.error}
+        if oc.error is not None
+        else {
+            "selected": oc.selected,
+            "base_cmi": oc.base_cmi,
+            "final_cmi": oc.final_cmi,
+        }
+        for m, oc in out.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_baselines() -> dict:
+    return json.loads(GOLDEN_BASELINES.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +112,21 @@ def test_explanation_unchanged(spark, datasets, golden, dataset, qid):
     assert got["final_cmi"] == pytest.approx(want["final_cmi"], rel=1e-9)
 
 
+@pytest.mark.parametrize("dataset,qid", QUERIES)
+def test_baselines_unchanged(spark, datasets, golden_baselines, dataset, qid):
+    want = golden_baselines[f"{dataset}/{qid}"]
+    got = baselines_fingerprint(spark, datasets[dataset], dataset, qid)
+    assert set(got) == set(want)
+    for m, w in want.items():
+        g = got[m]
+        if "error" in w:
+            assert g == w, m
+            continue
+        assert g["selected"] == w["selected"], m
+        assert g["base_cmi"] == pytest.approx(w["base_cmi"], rel=1e-9), m
+        assert g["final_cmi"] == pytest.approx(w["final_cmi"], rel=1e-9), m
+
+
 if __name__ == "__main__":
     from pyspark.sql import SparkSession
 
@@ -97,13 +139,15 @@ if __name__ == "__main__":
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")
-    out = {}
+    out, out_baselines = {}, {}
     for name, make in _MAKERS.items():
         ds = make(spark)
         ds.df = ds.df.cache()
         for d, qid in QUERIES:
             if d == name:
                 out[f"{d}/{qid}"] = fingerprint(spark, ds, d, qid)
+                out_baselines[f"{d}/{qid}"] = baselines_fingerprint(spark, ds, d, qid)
         ds.df.unpersist()
     GOLDEN.write_text(json.dumps(out, indent=1) + "\n")
+    GOLDEN_BASELINES.write_text(json.dumps(out_baselines, indent=1) + "\n")
     spark.stop()
