@@ -13,6 +13,10 @@ Two fidelity points from the paper's §5 are preserved:
   ``max_attrs`` reproduces exactly that protocol (random uniform drop).
 * Its explanations are *individually* ranked (no redundancy control among
   the selected set beyond the confounder test).
+
+It runs on the prepared coded table; a candidate's responsibility is
+MCIMR's support-aware drop (``repro.core.mcimr.support_drop``) and the
+reported score the IPW-weighted I(O;T|C,E) of the selection.
 """
 from __future__ import annotations
 
@@ -23,9 +27,9 @@ from typing import Mapping
 import numpy as np
 import pandas as pd
 
-from repro.core.contingency import VAL_COL, Data, as_table, joint_counts, scan_counts
+from repro.core.contingency import VAL_COL, CodedTable, joint_counts, scan_counts
 from repro.core.info_theory import CNT, cmi_from_counts, mi_from_counts
-from repro.core.mcimr import conditional_cmi, weight_cols
+from repro.core.mcimr import conditional_cmi, support_drop
 
 
 @dataclass
@@ -40,7 +44,7 @@ class HypDBResult:
 
 
 def hypdb(
-    df: Data,
+    table: CodedTable,
     candidates: list[str],
     *,
     o_bin: str,
@@ -60,7 +64,6 @@ def hypdb(
         dropped = len(candidates) - max_attrs
         candidates = [candidates[i] for i in sorted(keep)]
         scan = None  # the precomputed scan may cover a different set
-    table = as_table(df, [o_bin, t, *candidates], weight_cols(candidates, weights))
     if scan is None:
         scan = scan_counts(table, [o_bin, t], candidates, weights)
     base_pdf = joint_counts(table, [o_bin, t])
@@ -82,12 +85,8 @@ def hypdb(
         if assoc_t > eps_bits and assoc_o > eps_bits:
             confounders.append(a)
             # Individual responsibility: the drop in I(O;T) when
-            # conditioning on E, measured on E's own complete-case support
-            # (see the estimator note in repro.core.mcimr).
-            base_s = cmi_from_counts(pdf, o_bin, t)
-            drop = max(0.0, base_s - cmi_from_counts(pdf, o_bin, t, VAL_COL))
-            share = min(1.0, float(pdf[CNT].sum()) / n_total) if n_total else 0.0
-            delta[a] = share * drop
+            # conditioning on E, on E's own complete-case support.
+            delta[a] = support_drop(pdf, o_bin, t, VAL_COL, n_total)
     ranked = sorted(confounders, key=lambda a: (-delta[a], a))
     selected = [a for a in ranked if delta[a] > 0][:k]
     final = conditional_cmi(table, o_bin, t, selected, weights) if selected else base

@@ -5,25 +5,32 @@ and explains with the top-k standardized coefficients having p < .05. Its
 characteristic failures — no significant coefficients at all, or picking
 only linear effects — are what Table 3's low score reflects.
 
-Distributed implementation: mean-impute, assemble, and compute the full
-Pearson correlation matrix of (features…, outcome) with
-``pyspark.ml.stat.Correlation`` (one pass over the data). Standardized OLS
-is then solved on the driver from the correlation matrix:
-``β = R_xx⁻¹ · r_xy``, with classical t-test p-values from
-``Var(β̂) = σ²(X'X)⁻¹`` expressed in correlation form.
+Distributed implementation: the regressors are the raw numeric source
+columns of the analysis candidates (``display_name``) on the prepared
+frame. Mean-impute, assemble, and compute the full Pearson correlation
+matrix of (features…, outcome) with ``pyspark.ml.stat.Correlation`` (one
+pass over the data). Standardized OLS is then solved on the driver from the
+correlation matrix: ``β = R_xx⁻¹ · r_xy``, with classical t-test p-values
+from ``Var(β̂) = σ²(X'X)⁻¹`` expressed in correlation form.
+
+The selection is scored like every other method's: the IPW-weighted
+I(O;T|C,E) of its analysis columns on the prepared coded table.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from pyspark.ml.feature import VectorAssembler
 from pyspark.ml.stat import Correlation
 from pyspark.sql import DataFrame
 
+from repro.core.contingency import CodedTable
 from repro.core.info_theory import chi2_sf
 from repro.core.mcimr import conditional_cmi
+from repro.core.mesa import display_name
 from repro.core.query import is_numeric
 from repro.missing.impute import impute_mean
 
@@ -51,23 +58,30 @@ def _t_sf(t_abs: float, dof: float) -> float:
 
 def linear_regression(
     df: DataFrame,
+    table: CodedTable,
     candidates: list[str],
     *,
     o: str,
     o_bin: str,
     t: str,
     k: int = 5,
+    weights: Mapping[str, str] | None = None,
     p_threshold: float = 0.05,
 ) -> LinRegResult:
+    """Regress ``o`` on the numeric source columns of ``candidates`` (the
+    analysis columns) over ``df``; score the selection on ``table``.
+    Coefficients, p-values and the selection are keyed by analysis column."""
     start = time.perf_counter()
-    feats = [c for c in candidates if is_numeric(df, c)]
-    base = conditional_cmi(df, o_bin, t, [])
+    source = {c: display_name(c) for c in candidates}
+    feats = [c for c in candidates if is_numeric(df, source[c])]
+    base = conditional_cmi(table, o_bin, t, [])
     if not feats:
         return LinRegResult([], {}, {}, 0.0, base, base, time.perf_counter() - start)
-    work = impute_mean(df.select(o, o_bin, t, *feats), feats)
+    raw = [source[c] for c in feats]
+    work = impute_mean(df.select(o, *raw), raw)
     n = work.count()
     assembled = VectorAssembler(
-        inputCols=feats + [o], outputCol="__vec", handleInvalid="keep"
+        inputCols=raw + [o], outputCol="__vec", handleInvalid="keep"
     ).transform(work)
     corr = Correlation.corr(assembled, "__vec").collect()[0][0].toArray()
     m = len(feats)
@@ -90,7 +104,7 @@ def linear_regression(
     pvals = {name: _t_sf(float(ts), dof) for name, ts in zip(names, t_stats)}
     significant = [a for a in names if pvals[a] < p_threshold]
     selected = sorted(significant, key=lambda a: -abs(coefs[a]))[:k]
-    final = conditional_cmi(df, o_bin, t, selected) if selected else base
+    final = conditional_cmi(table, o_bin, t, selected, weights) if selected else base
     return LinRegResult(
         selected=selected,
         coefficients={a: float(coefs[a]) for a in names},

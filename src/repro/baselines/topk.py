@@ -2,7 +2,9 @@
 
 Equivalent to the Max-Relevance criterion without redundancy control — the
 paper's Table 2 shows its characteristic failure: it happily picks pairs
-of near-duplicate attributes (YEAR LOW F next to YEAR AVG F).
+of near-duplicate attributes (YEAR LOW F next to YEAR AVG F). It scores on
+the prepared coded table with MCIMR's support-aware individual score and
+reports the IPW-weighted I(O;T|C,E) of its selection.
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ from typing import Mapping
 
 import pandas as pd
 
-from repro.core.contingency import Data, as_table, joint_counts, scan_counts
+from repro.core.contingency import CodedTable, joint_counts, scan_counts
 from repro.core.info_theory import CNT, cmi_from_counts
-from repro.core.mcimr import conditional_cmi, individual_scores, weight_cols
+from repro.core.mcimr import conditional_cmi, individual_scores
 
 
 @dataclass
@@ -27,7 +29,7 @@ class TopKResult:
 
 
 def top_k(
-    df: Data,
+    table: CodedTable,
     candidates: list[str],
     *,
     o_bin: str,
@@ -37,7 +39,6 @@ def top_k(
     scan: dict[str, pd.DataFrame] | None = None,
 ) -> TopKResult:
     start = time.perf_counter()
-    table = as_table(df, [o_bin, t, *candidates], weight_cols(candidates, weights))
     if scan is None:
         scan = scan_counts(table, [o_bin, t], candidates, weights)
     base_pdf = joint_counts(table, [o_bin, t])

@@ -25,10 +25,10 @@ Three shapes:
 ``group_sizes``
     the sizes of all single-assignment groups ``attr = val``.
 
-Each accepts a :class:`CodedTable` or a Spark ``DataFrame``; a DataFrame is
-converted at entry by one projection collect of the columns the call reads.
-The value columns of ``joint_counts`` and ``scan_counts`` frames are
-categoricals over the table's label dictionaries, so the estimators in
+Each takes a :class:`CodedTable`: the one ``Mesa.prepare`` collects, or one
+a caller builds with :meth:`CodedTable.collect`. The value columns of
+``joint_counts`` and ``scan_counts`` frames are categoricals over the
+table's label dictionaries, so the estimators in
 :mod:`repro.core.info_theory` read each cell's codes directly.
 
 Labels equal Spark's ``cast("string")`` of the value (integral and string
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -144,18 +144,6 @@ class CodedTable:
         )
 
 
-Data = Union[DataFrame, CodedTable]
-
-
-def as_table(
-    data: Data, cols: Sequence[str], weight_cols: Sequence[str] = ()
-) -> CodedTable:
-    """``data`` itself if already coded, else one collect of the columns."""
-    if isinstance(data, CodedTable):
-        return data
-    return CodedTable.collect(data, cols, weight_cols)
-
-
 def _cells(
     codes: list[np.ndarray], sizes: list[int], w: np.ndarray | None
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -229,7 +217,7 @@ def _observed(table: CodedTable, cols: Sequence[str]) -> np.ndarray:
 
 
 def joint_counts(
-    df: Data,
+    table: CodedTable,
     cols: Sequence[str],
     weight_col: str | None = None,
 ) -> pd.DataFrame:
@@ -240,13 +228,12 @@ def joint_counts(
     labels, so heterogeneous bin/category types compare stably.
     """
     cols = list(cols)
-    table = as_table(df, cols, [weight_col] if weight_col else [])
     w = table.weights[weight_col] if weight_col else None
     return _frame(table, cols, cols, _observed(table, cols), w)
 
 
 def scan_counts(
-    df: Data,
+    table: CodedTable,
     fixed_cols: Sequence[str],
     candidates: Sequence[str],
     weights: Mapping[str, str] | None = None,
@@ -264,8 +251,6 @@ def scan_counts(
         return {}
     fixed_cols = list(fixed_cols)
     weights = weights or {}
-    wcols = [weights[c] for c in candidates if c in weights]
-    table = as_table(df, [*fixed_cols, *candidates], wcols)
     fixed_keep = _observed(table, fixed_cols)
     names = [VAL_COL, *fixed_cols]
     return {
@@ -280,15 +265,13 @@ def scan_counts(
     }
 
 
-def group_sizes(df: Data, attrs: Sequence[str]) -> pd.DataFrame:
+def group_sizes(table: CodedTable, attrs: Sequence[str]) -> pd.DataFrame:
     """Sizes of all single-assignment groups ``attr = val``.
 
     Used by the unexplained-subgroups search (Algorithm 2) to rank the
     children of a refinement by data-group size. Returns columns
     ``[ATTR_COL, VAL_COL, 'size']``.
     """
-    attrs = list(attrs)
-    table = as_table(df, attrs)
     parts = []
     for a in attrs:
         codes = table.codes[a]

@@ -13,12 +13,15 @@ be added is conditionally independent of O given the already-selected set,
 i.e. its responsibility would be ≤ 0; ``k`` is therefore an upper bound.
 
 Cost per run: every contingency is counted on the driver from the coded
-analysis table (:mod:`repro.core.contingency`), so a run on a
-:class:`~repro.core.contingency.CodedTable` starts no Spark job; given a
-DataFrame it collects the analysis columns once. The individual CMI terms
-come from one scan (shared with online pruning), the redundancy terms from
-one scan per iteration against the newly selected attribute, and each
-responsibility test from one joint contingency.
+analysis table (:class:`~repro.core.contingency.CodedTable`), so a run
+starts no Spark job. The individual CMI terms come from one scan (shared
+with online pruning), the redundancy terms from one scan per iteration
+against the newly selected attribute, and each responsibility test from one
+joint contingency.
+
+The support-aware score of an attribute set, ``base − support_drop``, is
+shared by MCIMR's MCI term, Top-K, HypDB's responsibility and Brute-Force's
+objective (:func:`support_drop`).
 """
 from __future__ import annotations
 
@@ -29,14 +32,7 @@ from typing import Mapping
 import numpy as np
 import pandas as pd
 
-from repro.core.contingency import (
-    VAL_COL,
-    CodedTable,
-    Data,
-    as_table,
-    joint_counts,
-    scan_counts,
-)
+from repro.core.contingency import VAL_COL, CodedTable, joint_counts, scan_counts
 from repro.core.info_theory import (
     CNT,
     cmi_from_counts,
@@ -74,14 +70,13 @@ def combined_weight(
 
 
 def conditional_cmi(
-    df: Data,
+    table: CodedTable,
     o_bin: str,
     t: str,
     cond: list[str],
     weights: Mapping[str, str] | None = None,
 ) -> float:
     """I(O; T | cond) on complete cases of ``cond``, IPW-weighted."""
-    table = as_table(df, [o_bin, t, *cond], weight_cols(cond, weights))
     return cmi_from_counts(
         cond_counts(table, o_bin, t, cond, weights), o_bin, t, cond
     )
@@ -99,6 +94,34 @@ def cond_counts(
     return joint_counts(table, [o_bin, t, *cond], weight_col=wcol)
 
 
+def support_drop(
+    pdf: pd.DataFrame,
+    o_bin: str,
+    t: str,
+    cond: str | list[str],
+    n_total: float,
+) -> float:
+    """The support-aware explanatory drop of conditioning on ``cond``.
+
+    ``pdf`` is an (O, T, *cond) contingency on cond's own complete-case
+    support. Complete-case supports differ per attribute set, so plug-in
+    CMIs are not comparable across sets — a sparse set's CMI is spuriously
+    deflated by its restricted entity set. The drop ``I(O;T) − I(O;T|cond)``
+    is therefore measured on the set's own support (base and conditional
+    share it, so estimation biases cancel) and weighted by the support
+    share ``|support| / n_total`` (an attribute observed on 40% of the rows
+    can explain at most 40% of the correlation mass). A set's score is
+    ``base_cmi − support_drop``; for fully observed attributes it reduces
+    exactly to the plug-in I(O;T|C,E). An empty contingency drops nothing.
+    """
+    if pdf.empty:
+        return 0.0
+    base_s = cmi_from_counts(pdf, o_bin, t)
+    drop = max(0.0, base_s - cmi_from_counts(pdf, o_bin, t, cond))
+    share = min(1.0, float(pdf[CNT].sum()) / n_total) if n_total else 0.0
+    return share * drop
+
+
 def individual_scores(
     scan: Mapping[str, pd.DataFrame],
     *,
@@ -108,17 +131,9 @@ def individual_scores(
     n_total: float,
 ) -> dict[str, float]:
     """Support-aware individual explanation score per candidate (the MCI
-    term of Eq. 5), shared by MCIMR and the Top-K baseline.
-
-    Estimator note: complete-case supports differ per attribute, so plug-in
-    CMIs are not comparable across candidates — a sparse attribute's CMI is
-    spuriously deflated by its restricted entity set. We therefore measure
-    each candidate's explanatory DROP on its own support (base and
-    conditional share the support, so estimation biases cancel), weight the
-    drop by the support share (an attribute observed on 40% of the rows
-    can explain at most 40% of the correlation mass), and score it as
-    ``base_cmi − support_share · drop``. For fully observed attributes
-    this reduces exactly to the plug-in I(O;T|C,E).
+    term of Eq. 5), shared by MCIMR and the Top-K baseline:
+    ``base_cmi − support_drop`` on the candidate's scan contingency (see
+    :func:`support_drop`).
     """
     v1: dict[str, float] = {}
     for a, pdf in scan.items():
@@ -133,10 +148,7 @@ def individual_scores(
             or cond_entropy_from_counts(pdf, [o_bin], [VAL_COL]) < 0.05
         ):
             continue
-        base_s = cmi_from_counts(pdf, o_bin, t)
-        cond = cmi_from_counts(pdf, o_bin, t, VAL_COL)
-        share = min(1.0, float(pdf[CNT].sum()) / n_total) if n_total else 0.0
-        v1[a] = max(0.0, base_cmi - share * max(0.0, base_s - cond))
+        v1[a] = max(0.0, base_cmi - support_drop(pdf, o_bin, t, VAL_COL, n_total))
     return v1
 
 
@@ -161,7 +173,7 @@ class ExplanationResult:
 
 
 def mcimr(
-    df: Data,
+    table: CodedTable,
     candidates: list[str],
     *,
     o_bin: str,
@@ -175,9 +187,6 @@ def mcimr(
     """Run Algorithm 1. ``scan`` may carry precomputed (E, O, T)
     contingencies (shared with online pruning) to skip the first pass."""
     start = time.perf_counter()
-    table = as_table(
-        df, [o_bin, t, *candidates], weight_cols(candidates, weights)
-    )
     if scan is None:
         scan = scan_counts(table, [o_bin, t], candidates, weights)
     # I(O;T|C) carries no weight: no attribute is conditioned on.

@@ -130,9 +130,10 @@ class PreparedQuery:
 
     ``df`` is the joined, binned lineage plus the weight columns as SQL
     ``CASE`` expressions over the outcome bin; they hold the table's exact
-    weights and are null where their attribute is null. ``df`` is marked
-    for caching but ``prepare`` runs no action on it: the first action
-    fills the cache (the drill-down set-up runs ``prep.df.count()``)."""
+    weights and are null where their attribute is null. ``prepare`` marks
+    ``df`` for caching but runs no action on it: the first action fills the
+    cache (the drill-down set-up runs ``prep.df.count()``). ``explain``
+    leaves it unmarked."""
 
     df: DataFrame
     table: CodedTable
@@ -163,8 +164,22 @@ class Mesa:
     ) -> PreparedQuery:
         """Stages 1–5 in three Spark passes: the context pass, the binning
         pass and the collect (see the module docstring); IPW then runs on
-        the coded table. Raises ``EmptyContextError`` when the context
+        the coded table. ``prep.df`` is marked for caching, and the caller
+        owns that cache. Raises ``EmptyContextError`` when the context
         matches no rows."""
+        prep = self._prepare(df, query, kg, extraction_cols, exclude)
+        prep.df.cache()
+        return prep
+
+    def _prepare(
+        self,
+        df: DataFrame,
+        query: AggQuery,
+        kg: KnowledgeGraph | None,
+        extraction_cols: list[str] | None,
+        exclude: set[str] | None,
+    ) -> PreparedQuery:
+        """``prepare`` without marking ``prep.df`` for caching."""
         cfg = self.cfg
         timings: dict[str, float] = {}
         exclude = exclude or set()
@@ -234,6 +249,9 @@ class Mesa:
             extracted_cols.extend(new_cols)
         timings["extract"] = time.perf_counter() - t0
 
+        candidates_initial = len(input_cands) + max(
+            n_extracted_raw, len(extracted_cols)
+        )
         # Offline pruning of input-table candidates (row level), decided
         # from the context pass's statistics.
         t0 = time.perf_counter()
@@ -248,9 +266,6 @@ class Mesa:
             )
             for a, reason in rep.dropped.items():
                 offline_report.drop(a, reason)
-        candidates_initial = len(input_cands) + max(
-            n_extracted_raw, len(extracted_cols)
-        )
         timings["offline_prune"] = time.perf_counter() - t0
 
         # Binning pass over the joined lineage: the outcome and every
@@ -297,7 +312,7 @@ class Mesa:
             ctx = ctx.withColumns(weight_exprs(table, weights, [o_bin]))
         timings["ipw"] = time.perf_counter() - t0
         return PreparedQuery(
-            df=ctx.cache(),
+            df=ctx,
             table=table,
             o_bin=o_bin,
             t=t_col,
@@ -383,9 +398,10 @@ class Mesa:
         extraction_cols: list[str] | None = None,
         exclude: set[str] | None = None,
     ) -> MesaResult:
-        """Full pipeline; see class docstring."""
-        prep = self.prepare(df, query, kg, extraction_cols, exclude)
-        try:
-            return self.explain_prepared(prep)
-        finally:
-            prep.df.unpersist()
+        """Full pipeline; see the module docstring. A cold explain neither
+        marks nor drops a cache: Spark keys caches by plan, so dropping one
+        here would evict a prepared frame of the same query cached
+        elsewhere."""
+        return self.explain_prepared(
+            self._prepare(df, query, kg, extraction_cols, exclude)
+        )

@@ -16,13 +16,13 @@ from typing import Mapping
 
 import pandas as pd
 
-from repro.core.contingency import Data, as_table
+from repro.core.contingency import CodedTable
 from repro.core.info_theory import cmi_from_counts
-from repro.core.mcimr import cond_counts, weight_cols
+from repro.core.mcimr import cond_counts
 
 
 def responsibilities(
-    df: Data,
+    table: CodedTable,
     selected: list[str],
     *,
     o_bin: str,
@@ -40,7 +40,6 @@ def responsibilities(
     if not selected:
         return {}
     if counts is None:
-        table = as_table(df, [o_bin, t, *selected], weight_cols(selected, weights))
         counts = cond_counts(table, o_bin, t, selected, weights)
     full = cmi_from_counts(counts, o_bin, t, selected)
     deltas = {

@@ -8,8 +8,9 @@ look for a different one.
 The refinement lattice is traversed top-down with a max-heap keyed on
 group size. Each node is generated once (children only extend with
 attributes strictly later in a canonical order). The search collects its
-columns once per call (none when given a coded table) and then works on the
-driver: a subgroup is a boolean row mask; per popped node one joint
+columns from the query frame once per call, as a
+:class:`~repro.core.contingency.CodedTable`, and then works on the driver:
+a subgroup is a boolean row mask; per popped node one joint
 contingency gives the score, per expanded node one ``group_sizes`` call the
 sizes of *all* children at once.
 A node whose score exceeds τ is reported (unless an ancestor already was)
@@ -23,12 +24,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from pyspark.sql import DataFrame
+
 from repro.core.contingency import (
     ATTR_COL,
     VAL_COL,
     CodedTable,
-    Data,
-    as_table,
     group_sizes,
     joint_counts,
 )
@@ -57,7 +58,7 @@ class SubgroupSearchResult:
 
 
 def top_k_unexplained(
-    df_ctx: Data,
+    df_ctx: DataFrame,
     *,
     explanation: list[str],
     refine_attrs: list[str],
@@ -86,7 +87,7 @@ def top_k_unexplained(
     "C' is small".
     """
     refine_attrs = [a for a in refine_attrs if a != t and a != o_bin]
-    table = as_table(
+    table = CodedTable.collect(
         df_ctx,
         [o_bin, t, *explanation, *refine_attrs],
         weight_cols(explanation, weights),

@@ -107,18 +107,19 @@ def run_all_methods(
                 seconds=res.seconds,
             )
         if "LR" in methods:
-            raw_cands = [display_name(c) for c in prep.candidates]
             res = linear_regression(
                 prep.df,
-                raw_cands,
+                prep.table,
+                prep.candidates,
                 o=cq.query.o,
                 o_bin=prep.o_bin,
                 t=prep.t,
                 k=cfg.k,
+                weights=prep.weights,
             )
             out["LR"] = MethodOutcome(
                 "LR",
-                selected=res.selected,
+                selected=[display_name(c) for c in res.selected],
                 final_cmi=res.final_cmi,
                 base_cmi=res.base_cmi,
                 seconds=res.seconds,
@@ -150,7 +151,7 @@ def run_all_methods(
                 # attributes, and C(|A|, 4..5) subsets would dominate the
                 # whole benchmark for no additional signal.
                 res = brute_force(
-                    prep.df,
+                    prep.table,
                     prep.candidates,
                     o_bin=prep.o_bin,
                     t=prep.t,

@@ -426,7 +426,11 @@ def fig3_missing_robustness(
             # Imputation comparator.
             df_i = impute_mean(df_m, targets)
             res_i = mcimr(
-                df_i, prep.candidates, o_bin=prep.o_bin, t=prep.t, k=scale.k
+                CodedTable.collect(df_i, [prep.o_bin, prep.t, *prep.candidates]),
+                prep.candidates,
+                o_bin=prep.o_bin,
+                t=prep.t,
+                k=scale.k,
             )
             rows.append(
                 {

@@ -25,8 +25,9 @@ hold; otherwise IPW reweights complete cases by
   attribute by the contingency counts anyway). ``weight_exprs`` writes the
   same values as lazy SQL ``CASE`` columns for the Spark frame.
 
-``fit_propensity`` and ``add_ipw_weight`` are the single-attribute
-DataFrame versions of the fit and the join-back.
+Detection takes a coded table only. ``fit_propensity`` and
+``add_ipw_weight`` are the single-attribute DataFrame versions of the fit
+and the join-back, off ``Mesa``'s path.
 """
 from __future__ import annotations
 
@@ -38,13 +39,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.contingency import (
-    VAL_COL,
-    CodedTable,
-    Data,
-    as_table,
-    scan_counts,
-)
+from repro.core.contingency import VAL_COL, CodedTable, scan_counts
 from repro.core.info_theory import is_conditionally_independent
 from repro.core.query import sql_double, sql_ident
 
@@ -60,7 +55,7 @@ def selection_indicator(df: DataFrame, attr: str, out: str) -> DataFrame:
 
 
 def detect_selection_bias(
-    data: Data,
+    table: CodedTable,
     attr: str,
     *,
     o_bin: str,
@@ -71,7 +66,7 @@ def detect_selection_bias(
     """True iff the missingness of ``attr`` is associated with the outcome
     (:func:`detect_selection_bias_batch` for one attribute)."""
     return attr in detect_selection_bias_batch(
-        data, [attr], o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
+        table, [attr], o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
     )
 
 
@@ -181,7 +176,7 @@ _INDICATOR_LABELS = np.array(["0", "1"], dtype=object)
 
 
 def detect_selection_bias_batch(
-    data: Data,
+    table: CodedTable,
     attrs: list[str],
     *,
     o_bin: str,
@@ -192,7 +187,7 @@ def detect_selection_bias_batch(
     """Batched §3.2 detection: which attributes' missingness is associated
     with the *outcome*. The missingness indicators ``codes[a] >= 0`` form a
     table of their own, scanned against ``o_bin`` exactly like candidate
-    attributes; a DataFrame is collected once first.
+    attributes.
 
     Prop 3.1's recoverability conditions are about O-dependence of the
     selection indicator (``O ⟂ R_E | …``); dependence of R_E on the
@@ -206,7 +201,6 @@ def detect_selection_bias_batch(
     del t  # kept for signature stability; see above
     if not attrs:
         return set()
-    table = as_table(data, [o_bin, *attrs])
     ind = {a: f"__r{i}" for i, a in enumerate(attrs)}
     indicators = CodedTable(
         {

@@ -1,8 +1,7 @@
 """Independent references for IPW on the coded table.
 
-* Detection: the Spark ``isNotNull`` indicator column, counted against the
-  outcome bin by ``joint_counts`` on the DataFrame, then the same CI
-  decision.
+* Detection: the Spark ``isNotNull`` indicator column, collected with the
+  outcome bin and counted by ``joint_counts``, then the same CI decision.
 * Weights: P(R=1) / max(P(R=1 | o_bin), 0.01) from DuckDB grouped counts.
   With the outcome bin as the only feature the logistic model is
   saturated, so its fitted propensities are the observed rates (up to the
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.contingency import joint_counts
+from repro.core.contingency import CodedTable, joint_counts
 from repro.core.info_theory import is_conditionally_independent
 
 R = "__r_ref"
@@ -24,7 +23,7 @@ def spark_detection(df, attrs, *, o_bin, alpha=0.05, eps_bits=0.02) -> set[str]:
     biased = set()
     for a in attrs:
         with_r = df.withColumn(R, F.col(a).isNotNull().cast("int"))
-        pdf = joint_counts(with_r, [R, o_bin])
+        pdf = joint_counts(CodedTable.collect(with_r, [R, o_bin]), [R, o_bin])
         if pdf.empty or pdf[R].nunique() < 2:
             continue
         if not is_conditionally_independent(

@@ -7,11 +7,12 @@ from repro.baselines.brute_force import brute_force
 from repro.baselines.hypdb import hypdb
 from repro.baselines.linreg import linear_regression
 from repro.baselines.topk import top_k
+from repro.core.contingency import CodedTable
 from repro.core.mcimr import mcimr
 
 
 @pytest.fixture(scope="module")
-def confounded(spark):
+def confounded_df(spark):
     """Same planted structure as test_mcimr: {hdi(+copy), gini} explain T↔O;
     junk is noise. Raw numeric salary included for the LR baseline."""
     rng = np.random.default_rng(21)
@@ -37,6 +38,11 @@ def confounded(spark):
         }
     )
     return spark.createDataFrame(pdf).cache()
+
+
+@pytest.fixture(scope="module")
+def confounded(confounded_df):
+    return CodedTable.collect(confounded_df, confounded_df.columns)
 
 
 CANDS = ["hdi", "hdi_copy", "gini", "junk", "junk_bin"]
@@ -103,8 +109,9 @@ class TestTopK:
 
 
 class TestLinReg:
-    def test_selects_linear_confounders(self, confounded):
+    def test_selects_linear_confounders(self, confounded_df, confounded):
         res = linear_regression(
+            confounded_df,
             confounded,
             ["hdi", "gini", "junk_num"],
             o="salary",
@@ -115,11 +122,12 @@ class TestLinReg:
         assert len(res.selected) == 2
         assert set(res.selected) == {"hdi", "gini"}
 
-    def test_collinear_pair_inflates_errors(self, confounded):
+    def test_collinear_pair_inflates_errors(self, confounded_df, confounded):
         """hdi and hdi_copy are perfectly collinear: OLS splits the effect
         and the inflated standard errors make both insignificant — a
         classic LR failure mode on redundant extracted attributes."""
         res = linear_regression(
+            confounded_df,
             confounded,
             ["hdi", "hdi_copy", "gini", "junk_num"],
             o="salary",
@@ -132,8 +140,9 @@ class TestLinReg:
             res.coefficients["hdi_copy"], rel=0.05
         )
 
-    def test_junk_insignificant(self, confounded):
+    def test_junk_insignificant(self, confounded_df, confounded):
         res = linear_regression(
+            confounded_df,
             confounded,
             ["hdi", "gini", "junk_num"],
             o="salary",
@@ -144,8 +153,9 @@ class TestLinReg:
         assert "junk_num" not in res.selected
         assert res.p_values["junk_num"] > 0.05
 
-    def test_r_squared_high_on_planted_linear(self, confounded):
+    def test_r_squared_high_on_planted_linear(self, confounded_df, confounded):
         res = linear_regression(
+            confounded_df,
             confounded,
             ["hdi", "gini"],
             o="salary",
@@ -154,9 +164,9 @@ class TestLinReg:
         )
         assert res.r_squared > 0.9
 
-    def test_categoricals_ignored(self, confounded):
+    def test_categoricals_ignored(self, confounded_df, confounded):
         res = linear_regression(
-            confounded, ["junk"], o="salary", o_bin="o_bin", t="t"
+            confounded_df, confounded, ["junk"], o="salary", o_bin="o_bin", t="t"
         )
         assert res.selected == []
 
@@ -179,7 +189,12 @@ class TestLinReg:
             )
         )
         res = linear_regression(
-            df, ["e"], o="salary", o_bin="o_bin", t="t"
+            df,
+            CodedTable.collect(df, df.columns),
+            ["e"],
+            o="salary",
+            o_bin="o_bin",
+            t="t",
         )
         assert res.selected == []
 

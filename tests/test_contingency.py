@@ -10,7 +10,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.contingency import (
     ATTR_COL,
     VAL_COL,
@@ -30,15 +29,27 @@ from tests.ipw_reference import (
     duckdb_weights,
     spark_detection,
 )
+from tests.lineitem import lineitem
+
+
+def coded(df, weight_cols=()) -> CodedTable:
+    """Every column of ``df`` coded, ``weight_cols`` as weights."""
+    cols = [c for c in df.columns if c not in weight_cols]
+    return CodedTable.collect(df, cols, weight_cols)
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=7).cache()
+def li_df(spark):
+    return lineitem(spark, sf=0.002, seed=7).cache()
+
+
+@pytest.fixture(scope="module")
+def li(li_df):
+    return coded(li_df)
 
 
 class TestJointCounts:
-    def test_matches_duckdb_groupby(self, spark, li):
+    def test_matches_duckdb_groupby(self, spark, li, li_df):
         pdf = joint_counts(li, ["l_returnflag", "l_linestatus"])
         got = spark.createDataFrame(pdf)
         assert_equivalent(
@@ -49,12 +60,12 @@ class TestJointCounts:
                    CAST(count(*) AS DOUBLE) AS cnt
             FROM li GROUP BY 1, 2
             """,
-            li=li,
+            li=li_df,
         )
 
-    def test_weighted_sum_matches_duckdb(self, spark, li):
-        w = li.withColumn("w", li.l_quantity * 0.1)
-        pdf = joint_counts(w, ["l_returnflag"], weight_col="w")
+    def test_weighted_sum_matches_duckdb(self, spark, li_df):
+        w = li_df.withColumn("w", li_df.l_quantity * 0.1)
+        pdf = joint_counts(coded(w, ["w"]), ["l_returnflag"], weight_col="w")
         got = spark.createDataFrame(pdf)
         assert_equivalent(
             got,
@@ -63,18 +74,18 @@ class TestJointCounts:
                    SUM(l_quantity * 0.1) AS cnt
             FROM li GROUP BY 1
             """,
-            li=li,
+            li=li_df,
         )
 
-    def test_total_equals_rowcount(self, li):
+    def test_total_equals_rowcount(self, li, li_df):
         pdf = joint_counts(li, ["l_returnflag"])
-        assert pdf[CNT].sum() == li.count()
+        assert pdf[CNT].sum() == li_df.count()
 
     def test_dropna_filters_nulls(self, spark):
         df = spark.createDataFrame(
             pd.DataFrame({"a": ["x", None, "y", "x"], "b": [1, 2, None, 4]})
         )
-        pdf = joint_counts(df, ["a", "b"])
+        pdf = joint_counts(coded(df), ["a", "b"])
         assert pdf[CNT].sum() == 2  # only fully observed rows
 
     def test_values_are_strings(self, li):
@@ -133,7 +144,7 @@ class TestScanCounts:
                 }
             )
         )
-        scan = scan_counts(df, ["o"], ["e1", "e2"])
+        scan = scan_counts(coded(df), ["o"], ["e1", "e2"])
         assert scan["e1"][CNT].sum() == 3
         assert scan["e2"][CNT].sum() == 1
 
@@ -143,7 +154,7 @@ class TestScanCounts:
                 {"e": "object"}
             )
         )
-        scan = scan_counts(df, ["o"], ["e"])
+        scan = scan_counts(coded(df), ["o"], ["e"])
         assert scan["e"].empty
 
     def test_weights_apply_per_attribute(self, spark):
@@ -157,7 +168,7 @@ class TestScanCounts:
                 }
             )
         )
-        scan = scan_counts(df, ["o"], ["e1", "e2"], weights={"e1": "w1"})
+        scan = scan_counts(coded(df, ["w1"]), ["o"], ["e1", "e2"], weights={"e1": "w1"})
         assert scan["e1"][CNT].sum() == pytest.approx(10.0)
         assert scan["e2"][CNT].sum() == pytest.approx(4.0)
 
@@ -171,7 +182,7 @@ class TestScanCounts:
 
 
 class TestGroupSizes:
-    def test_matches_duckdb(self, spark, li):
+    def test_matches_duckdb(self, spark, li, li_df):
         pdf = group_sizes(li, ["l_returnflag", "l_linestatus"])
         got = spark.createDataFrame(pdf)
         assert_equivalent(
@@ -185,7 +196,7 @@ class TestGroupSizes:
             SELECT 'l_linestatus', CAST(l_linestatus AS VARCHAR), count(*)
             FROM li GROUP BY 2
             """,
-            li=li,
+            li=li_df,
         )
 
     def test_empty_attrs(self, li):
@@ -232,9 +243,9 @@ def holey_table(holey):
 class TestCodedTable:
     """``joint_counts``/``scan_counts``/``group_sizes`` on a ``CodedTable``."""
 
-    def test_joint_unweighted_matches_duckdb(self, spark, li):
+    def test_joint_unweighted_matches_duckdb(self, spark, li_df):
         cols = ["l_returnflag", "l_linestatus", "l_linenumber"]
-        table = CodedTable.collect(li, cols)
+        table = CodedTable.collect(li_df, cols)
         got = spark.createDataFrame(joint_counts(table, cols))
         assert_equivalent(
             got,
@@ -245,7 +256,7 @@ class TestCodedTable:
                    CAST(count(*) AS DOUBLE) AS cnt
             FROM li GROUP BY ALL
             """,
-            li=li,
+            li=li_df,
         )
 
     @pytest.mark.parametrize(
@@ -258,8 +269,8 @@ class TestCodedTable:
         ],
         ids=["sparse", "wide"],
     )
-    def test_large_key_spaces_match_duckdb(self, spark, li, cols):
-        df = li
+    def test_large_key_spaces_match_duckdb(self, spark, li_df, cols):
+        df = li_df
         for i in range(40):
             df = df.withColumn(f"l_linenumber_{i}", (df.l_linenumber + i) % 3)
         pdf = joint_counts(CodedTable.collect(df, cols), cols)
@@ -314,11 +325,6 @@ class TestCodedTable:
             """,
             d=holey_pd,
         )
-
-    def test_dataframe_input_equals_table_input(self, holey, holey_table):
-        a = joint_counts(holey, ["o", "e2"], weight_col="w2")
-        b = joint_counts(holey_table, ["o", "e2"], weight_col="w2")
-        pd.testing.assert_frame_equal(a, b)
 
     def test_null_weight_counts_as_one(self, spark):
         df = spark.createDataFrame(

@@ -127,6 +127,20 @@ def test_baselines_unchanged(spark, datasets, golden_baselines, dataset, qid):
         assert g["final_cmi"] == pytest.approx(w["final_cmi"], rel=1e-9), m
 
 
+def test_lr_scores_its_selection_like_mesa(spark, datasets):
+    """LR scores its selection on the analysis (binned) columns with the
+    IPW weights, like every other method: on Covid-19 Q2 it selects what
+    MESA selects, so it reports the same I(O;T|C,E)."""
+    cq = get_query("Covid-19", "Q2")
+    out = run_all_methods(
+        spark, datasets["Covid-19"], cq, cfg=MesaConfig(), methods=("MESA", "LR")
+    )
+    mesa, lr = out["MESA"], out["LR"]
+    assert lr.selected == mesa.selected == ["Country__GDP"]
+    assert lr.base_cmi == pytest.approx(mesa.base_cmi, rel=1e-9)
+    assert lr.final_cmi == pytest.approx(mesa.final_cmi, rel=1e-9)
+
+
 if __name__ == "__main__":
     from pyspark.sql import SparkSession
 

@@ -33,7 +33,7 @@ def confounded(spark):
             "o_bin": salary_bin,
         }
     )
-    return spark.createDataFrame(pdf).cache()
+    return CodedTable.collect(spark.createDataFrame(pdf), list(pdf.columns))
 
 
 CANDS = ["hdi", "hdi_copy", "gini", "junk"]
@@ -55,9 +55,8 @@ class TestConditionalCMI:
 
 class TestCombinedWeight:
     def test_no_weights_passthrough(self, confounded):
-        table = CodedTable.collect(confounded, ["hdi"])
-        out, w = combined_weight(table, ["hdi"], None)
-        assert w is None and out is table
+        out, w = combined_weight(confounded, ["hdi"], None)
+        assert w is None and out is confounded
 
     def test_product_column(self, spark):
         pdf = pd.DataFrame({"a": [1], "w1": [2.0], "w2": [3.0]})

@@ -171,3 +171,33 @@ class TestDegenerateInput:
         df = covid.df.withColumn("Empty", F.lit(None).cast("double"))
         res = Mesa(spark).explain(df, q, covid.kg, covid.extraction_cols)
         assert res.offline_report.dropped["Empty"] == "missing"
+
+
+class TestCandidateCounts:
+    def test_initial_count_is_before_offline_pruning(self, spark, covid):
+        q = get_query("Covid-19", "Q1").query
+        df = covid.df.withColumn("Constant", F.lit(1.0))
+        initial = {
+            on: Mesa(spark, MesaConfig(offline_pruning=on))
+            .explain(df, q, covid.kg, covid.extraction_cols)
+            .candidates_initial
+            for on in (True, False)
+        }
+        assert initial[True] == initial[False]
+
+
+class TestPreparedFrameCache:
+    def test_explain_keeps_a_prepared_frame_cached(self, spark, covid):
+        """A cold explain of the query a drill-down prepared earlier must
+        not evict that prepared frame's cache (Spark keys caches by plan)."""
+        from pyspark import StorageLevel
+
+        cq = get_query("Covid-19", "Q2")
+        args = (covid.df, cq.query, covid.kg, covid.extraction_cols)
+        prep = Mesa(spark).prepare(*args)
+        try:
+            prep.df.count()
+            Mesa(spark).explain(*args)
+            assert prep.df.storageLevel != StorageLevel.NONE
+        finally:
+            prep.df.unpersist()

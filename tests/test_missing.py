@@ -28,6 +28,11 @@ from tests.ipw_reference import (
 )
 
 
+def coded(df) -> CodedTable:
+    """Every column of ``df``, coded."""
+    return CodedTable.collect(df, df.columns)
+
+
 @pytest.fixture(scope="module")
 def base(spark):
     """A frame where E's observability depends on O — planted MNAR."""
@@ -103,11 +108,11 @@ class TestDetection:
         mnar = base.withColumn(
             "e", F.when(F.col("o_bin") < 2, F.col("e"))
         )
-        assert detect_selection_bias(mnar, "e", o_bin="o_bin", t="t")
+        assert detect_selection_bias(coded(mnar), "e", o_bin="o_bin", t="t")
 
     def test_mcar_not_detected(self, base):
         mcar = remove_mcar(base, "e", 0.3, seed=3)
-        assert not detect_selection_bias(mcar, "e", o_bin="o_bin", t="t")
+        assert not detect_selection_bias(coded(mcar), "e", o_bin="o_bin", t="t")
 
     def test_exposure_only_dependence_not_flagged(self, spark):
         """Prop 3.1's conditions concern O-dependence: a missingness
@@ -125,7 +130,9 @@ class TestDetection:
         )
         df = spark.createDataFrame(pdf)
         mnar_t = df.withColumn("e", F.when(F.col("t") != "a", F.col("e")))
-        assert not detect_selection_bias(mnar_t, "e", o_bin="o_bin", t="t")
+        assert not detect_selection_bias(
+            coded(mnar_t), "e", o_bin="o_bin", t="t"
+        )
 
 
 class TestPropensity:
@@ -189,13 +196,13 @@ class TestIPWCorrection:
         df = spark.createDataFrame(pdf)
         true_u = float((e_full == "u").mean())
         # Complete-case estimate is biased:
-        cc = joint_counts(df, ["e"])
+        cc = joint_counts(CodedTable.collect(df, ["e"]), ["e"])
         cc_u = float(cc.set_index("e")["cnt"]["u"] / cc["cnt"].sum())
         assert abs(cc_u - true_u) > 0.08
         # IPW-weighted estimate is (approximately) unbiased:
         model = fit_propensity(df, "e", ["x"])
         weighted, wcol = add_ipw_weight(df, "e", model)
-        wc = joint_counts(weighted.where(F.col("e").isNotNull()), ["e"], wcol)
+        wc = joint_counts(CodedTable.collect(weighted, ["e"], [wcol]), ["e"], wcol)
         w_u = float(wc.set_index("e")["cnt"]["u"] / wc["cnt"].sum())
         assert abs(w_u - true_u) < 0.03
 
@@ -292,6 +299,6 @@ class TestImpute:
         eb = np.where(np.isnan(e_mnar), np.nan, (e_mnar > 0).astype(float))
         df = spark.createDataFrame(pd.DataFrame({"o": o, "e": e_mnar, "eb": eb}))
         imputed = impute_mean(df, ["eb"])
-        cc = cmi_from_counts(joint_counts(df, ["o", "eb"]), "o", "eb")
-        im = cmi_from_counts(joint_counts(imputed, ["o", "eb"]), "o", "eb")
+        cc = cmi_from_counts(joint_counts(coded(df), ["o", "eb"]), "o", "eb")
+        im = cmi_from_counts(joint_counts(coded(imputed), ["o", "eb"]), "o", "eb")
         assert abs(cc - im) > 0.05

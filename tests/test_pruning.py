@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.contingency import scan_counts
+from repro.core.contingency import CodedTable, scan_counts
 from repro.core.pruning import (
     offline_prune_entity,
     offline_prune_rows,
@@ -102,7 +102,9 @@ def scan_fixture(spark):
         }
     )
     df = spark.createDataFrame(pdf)
-    scan = scan_counts(df, ["o_bin", "t"], ["code", "junk", "conf"])
+    scan = scan_counts(
+        CodedTable.collect(df, df.columns), ["o_bin", "t"], ["code", "junk", "conf"]
+    )
     return scan
 
 

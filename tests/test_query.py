@@ -7,7 +7,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.query import (
     AggQuery,
     apply_context,
@@ -18,11 +17,12 @@ from repro.core.query import (
     run_query,
 )
 from repro.oracle import assert_equivalent
+from tests.lineitem import lineitem
 
 
 @pytest.fixture(scope="module")
 def li(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=11).cache()
+    return lineitem(spark, sf=0.002, seed=11).cache()
 
 
 class TestAggQuery:
