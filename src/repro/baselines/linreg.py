@@ -72,12 +72,11 @@ def linear_regression(
     analysis columns) over ``df``; score the selection on ``table``.
     Coefficients, p-values and the selection are keyed by analysis column."""
     start = time.perf_counter()
-    source = {c: display_name(c) for c in candidates}
-    feats = [c for c in candidates if is_numeric(df, source[c])]
+    feats = [c for c in candidates if is_numeric(df, display_name(c))]
     base = conditional_cmi(table, o_bin, t, [])
     if not feats:
         return LinRegResult([], {}, {}, 0.0, base, base, time.perf_counter() - start)
-    raw = [source[c] for c in feats]
+    raw = [display_name(c) for c in feats]
     work = impute_mean(df.select(o, *raw), raw)
     n = work.count()
     assembled = VectorAssembler(
