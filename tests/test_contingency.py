@@ -20,9 +20,11 @@ from repro.core.contingency import (
 )
 from repro.core.info_theory import CNT, cmi_from_counts, mi_from_counts
 from repro.core.mesa import Mesa
+from repro.core.query import AggQuery
 from repro.core.subgroups import top_k_unexplained
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
+from repro.kg.graph import KnowledgeGraph
 from repro.oracle import assert_equivalent
 from tests.ipw_reference import (
     assert_weights_match,
@@ -30,6 +32,7 @@ from tests.ipw_reference import (
     spark_detection,
 )
 from tests.lineitem import lineitem
+from tests.prepared_reference import assert_table_matches_frame
 
 
 def coded(df, weight_cols=()) -> CodedTable:
@@ -436,6 +439,47 @@ class TestExplainJobs:
         assert jobs == 1
 
 
+def _adversarial(spark):
+    """A 600-row frame of awkward numeric types and values, and a KG over
+    its ``city`` column (one city unlinked, some properties missing)."""
+    rng = np.random.default_rng(11)
+    n = 600
+    specials = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, None]
+    x = rng.normal(size=n).tolist()
+    for i, v in zip(rng.choice(n, 60, replace=False), specials * 10):
+        x[i] = v
+    five = [0.1, 1e7, 1e-4, 2.5, -3.0]
+    cities = [f"c{i}" for i in range(12)]
+    rows = [
+        (
+            str(rng.choice(["a", "b", "c"])),
+            float(rng.normal()),
+            float(np.float32(rng.normal())),
+            decimal.Decimal(int(rng.integers(-10**6, 10**6))) / 100,
+            decimal.Decimal(int(rng.integers(-10**9, 10**9))) / 10**6,
+            x[i],
+            five[int(rng.integers(5))],
+            int(rng.integers(4)),
+            cities[int(rng.integers(12))],
+        )
+        for i in range(n)
+    ]
+    df = spark.createDataFrame(
+        rows,
+        "t string, o double, f float, d10 decimal(10,2), d20 decimal(20,6), "
+        "x double, five double, small int, city string",
+    )
+    kg = KnowledgeGraph()
+    for i, c in enumerate(cities[:-1]):
+        kg.add_entity(f"E{i}", c)
+        kg.add_literal(f"E{i}", "pop", float(rng.lognormal(10, 1)))
+        kg.add_literal(f"E{i}", "tier", [1e7, 1e-4, 2.5][i % 3])
+        kg.add_literal(f"E{i}", "region", ["north", "south"][i % 2])
+        if i % 4:
+            kg.add_literal(f"E{i}", "gdp", float(rng.normal(5, 2)))
+    return df, kg
+
+
 class TestPrepare:
     """``Mesa.prepare``: three Spark passes, and IPW weights on the coded
     table that equal the frame's weight columns and independent references."""
@@ -454,6 +498,31 @@ class TestPrepare:
         # No unpersist: the frame's plan equals the cached so_prepared one.
         assert prep.weights
         assert jobs == 7
+
+    def test_so_table_matches_frame(self, so_prepared):
+        _, prep, _ = so_prepared
+        assert prep.weights
+        assert_table_matches_frame(prep)
+
+    @pytest.mark.parametrize("with_kg", [False, True])
+    def test_adversarial_table_matches_frame(self, spark, with_kg):
+        """Floats, decimals, NaN, ±inf, −0.0, null, and numeric columns
+        that pass through unbinned (their labels are Spark's strings, e.g.
+        ``1.0E7``), in the input table and in the KG attributes."""
+        df, kg = _adversarial(spark)
+        q = AggQuery(t="t", o="o")
+        prep = Mesa(spark).prepare(df, q, kg if with_kg else None, ["city"])
+        try:
+            binned = {c for c in prep.candidates if c.endswith("__b")}
+            assert {"f__b", "d10__b", "d20__b", "x__b"} <= binned
+            assert {"five", "small", "city"} <= set(prep.candidates)
+            if with_kg:
+                assert {"pop__b", "tier", "region"} <= set(prep.candidates)
+                assert "1.0E7" in prep.table.labels["tier"].tolist()
+            assert "1.0E7" in prep.table.labels["five"].tolist()
+            assert_table_matches_frame(prep)
+        finally:
+            prep.df.unpersist()
 
     def test_frame_weights_equal_table_weights(self, so_prepared):
         _, prep, _ = so_prepared

@@ -29,6 +29,7 @@ from repro.datasets.forbes import make_forbes
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 from repro.eval.harness import run_all_methods
+from tests.prepared_reference import assert_table_matches_frame
 
 GOLDEN = Path(__file__).with_name("golden_explanations.json")
 GOLDEN_BASELINES = Path(__file__).with_name("golden_baselines.json")
@@ -125,6 +126,21 @@ def test_baselines_unchanged(spark, datasets, golden_baselines, dataset, qid):
         assert g["selected"] == w["selected"], m
         assert g["base_cmi"] == pytest.approx(w["base_cmi"], rel=1e-9), m
         assert g["final_cmi"] == pytest.approx(w["final_cmi"], rel=1e-9), m
+
+
+@pytest.mark.parametrize("dataset,qid", QUERIES)
+def test_prepared_table_matches_frame(spark, datasets, dataset, qid):
+    """The coded table of every golden query equals the prepared frame's
+    own collect: the bins, the KG attributes and the weights."""
+    ds = datasets[dataset]
+    cq = get_query(dataset, qid)
+    prep = Mesa(spark, MesaConfig()).prepare(
+        ds.df, cq.query, ds.kg, ds.extraction_cols, exclude=set(cq.exclude)
+    )
+    try:
+        assert_table_matches_frame(prep)
+    finally:
+        prep.df.unpersist()
 
 
 def test_lr_scores_its_selection_like_mesa(spark, datasets):
