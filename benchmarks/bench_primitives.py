@@ -72,8 +72,8 @@ def pre_binning(spark, scale):
 @pytest.mark.benchmark(group="primitives")
 def bench_ensure_binned(benchmark, pre_binning):
     df, cols, kwargs = pre_binning
-    _, mapping = benchmark(ensure_binned, df, cols, **kwargs)
-    assert set(mapping) == set(cols)
+    binning = benchmark(ensure_binned, df, cols, **kwargs)
+    assert set(binning.mapping) == set(cols)
 
 
 @pytest.mark.benchmark(group="primitives")
@@ -93,11 +93,11 @@ def bench_joint_contingency(benchmark, prepared):
 
 @pytest.mark.benchmark(group="primitives")
 def bench_prepare(benchmark, spark, scale):
-    """A cold SO Q1 ``Mesa.prepare``: the context pass, the binning pass and
-    the collect, plus one broadcast per KG relation in each of the two
-    passes over the joined lineage — 7 Spark jobs with adaptive execution
-    off (it would split stages into jobs of their own). Its own seed keeps
-    the lineage apart from the frames the other benchmarks cache."""
+    """A cold SO Q1 ``Mesa.prepare``: the raw collect and the percentile
+    pass, plus one broadcast per KG relation in the percentile pass over the
+    joined lineage — 4 Spark jobs with adaptive execution off (it would
+    split stages into jobs of their own). Its own seed keeps the lineage
+    apart from the frames the other benchmarks cache."""
     ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk, seed=1)
     cq = get_query("SO", "Q1")
     mesa = Mesa(spark, MesaConfig(k=scale.k))
@@ -113,7 +113,7 @@ def bench_prepare(benchmark, spark, scale):
         spark.conf.set("spark.sql.adaptive.enabled", aqe)
     prep.df.unpersist()
     assert prep.candidates
-    assert n_jobs == 7
+    assert n_jobs == 4
 
 
 @pytest.mark.benchmark(group="primitives")

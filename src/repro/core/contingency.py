@@ -2,10 +2,9 @@
 
 Every information-theoretic score in MESA is computed from a contingency
 frame produced here. The estimators only ever read contingencies bounded by
-attribute domains, so Spark prepares the analysis frame and **one** Arrow
-collect brings its analysis columns to the driver as a :class:`CodedTable`:
-each value column becomes small-int codes plus its label dictionary, each
-IPW weight column a ``float64`` array. Counting is numpy over a mixed-radix
+attribute domains, so the analysis columns live on the driver as a
+:class:`CodedTable`: each value column is small-int codes plus its label
+dictionary, each IPW weight column a ``float64`` array. Counting is numpy over a mixed-radix
 key of the codes (``np.bincount``, weighted where asked), so MCIMR, pruning,
 responsibility and subgroup scoring run no Spark job. Memory is bounded by
 rows × analysis columns × code width (1–4 bytes).
@@ -25,18 +24,19 @@ Three shapes:
 ``group_sizes``
     the sizes of all single-assignment groups ``attr = val``.
 
-Each takes a :class:`CodedTable`: the one ``Mesa.prepare`` collects, or one
-a caller builds with :meth:`CodedTable.collect`. The value columns of
-``joint_counts`` and ``scan_counts`` frames are categoricals over the
-table's label dictionaries, so the estimators in
+Each takes a :class:`CodedTable`: the one ``Mesa.prepare`` codes on the
+driver, or one a caller builds with :meth:`CodedTable.collect`. The value
+columns of ``joint_counts`` and ``scan_counts`` frames are categoricals over
+the table's label dictionaries, so the estimators in
 :mod:`repro.core.info_theory` read each cell's codes directly.
 
 Labels equal Spark's ``cast("string")`` of the value (integral and string
 columns are collected natively and labelled exactly as Spark would print
-them; every other type is cast in Spark). Null values — incomplete cases for
-that attribute — are dropped per attribute, which is exactly the
-complete-case semantics the IPW weights correct for. A null weight counts
-as 1.
+them; every other type is cast in Spark), numbered in order of first
+appearance; ``bin_codes`` and ``first_seen`` code bins on the driver to
+the same table. Null values — incomplete cases for that attribute — are
+dropped per attribute, which is exactly the complete-case semantics the IPW
+weights correct for. A null weight counts as 1.
 """
 from __future__ import annotations
 
@@ -46,20 +46,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
 from repro.core.info_theory import CNT, DENSE_CELLS
-from repro.core.query import sql_ident
+from repro.core.query import NATIVE_TYPES, sql_ident
 
 ATTR_COL = "__attr"
 VAL_COL = "__val"
-
-#: Spark types collected natively: their Python ``str`` equals Spark's cast
-_NATIVE_TYPES = (
-    T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.StringType,
-)
 
 
 def _code_dtype(n_labels: int) -> type:
@@ -67,6 +63,36 @@ def _code_dtype(n_labels: int) -> type:
         if n_labels <= np.iinfo(dt).max:
             return dt
     return np.int64
+
+
+def label_sql(schema: T.StructType, col: str) -> str:
+    """``col`` projected so that ``str`` of each collected value is its
+    label: natively for the types in ``NATIVE_TYPES``, else cast in Spark."""
+    if isinstance(schema[col].dataType, NATIVE_TYPES):
+        return sql_ident(col)
+    return f"CAST({sql_ident(col)} AS STRING) AS {sql_ident(col)}"
+
+
+def first_seen(
+    codes: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``codes`` over ``labels`` renumbered in order of first appearance
+    (the order Arrow's ``dictionary_encode`` gives), unused labels dropped;
+    ``-1`` stays null."""
+    obs = codes[codes >= 0]
+    uniq, first = np.unique(obs, return_index=True)
+    order = uniq[np.argsort(first)]
+    remap = np.full(len(labels) + 1, -1, dtype=np.int64)  # [-1] -> -1
+    remap[order] = np.arange(len(order))
+    return remap[codes].astype(_code_dtype(len(order))), labels[order]
+
+
+def bin_codes(x: np.ndarray, edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``bin_sql`` on the driver: each double's bin (``-1`` for NaN, which
+    marks null too) and the bins' labels."""
+    b = np.searchsorted(np.asarray(edges, dtype=np.float64), x, side="left")
+    b[np.isnan(x)] = -1
+    return b, np.array([str(i) for i in range(len(edges) + 1)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -92,18 +118,25 @@ class CodedTable:
         """Code ``cols`` and ``weight_cols`` of ``df`` with one collect."""
         cols = list(dict.fromkeys(cols))
         weight_cols = [w for w in dict.fromkeys(weight_cols) if w not in cols]
-        schema = df.schema
-        proj = [
-            sql_ident(c)
-            if isinstance(schema[c].dataType, _NATIVE_TYPES)
-            else f"CAST({sql_ident(c)} AS STRING) AS {sql_ident(c)}"
-            for c in cols
-        ] + [f"CAST({sql_ident(w)} AS DOUBLE) AS {sql_ident(w)}" for w in weight_cols]
-        tbl = df.selectExpr(*proj).toArrow()
+        proj = [label_sql(df.schema, c) for c in cols] + [
+            f"CAST({sql_ident(w)} AS DOUBLE) AS {sql_ident(w)}" for w in weight_cols
+        ]
+        return cls.from_arrow(df.selectExpr(*proj).toArrow(), cols, weight_cols)
+
+    @classmethod
+    def from_arrow(
+        cls,
+        tbl: pa.Table,
+        cols: Sequence[str],
+        weight_cols: Sequence[str] = (),
+    ) -> "CodedTable":
+        """Code ``tbl``'s first columns as ``cols`` (projected by
+        ``label_sql``) and the next ones as the double ``weight_cols``;
+        columns after those are ignored."""
         codes: dict[str, np.ndarray] = {}
         labels: dict[str, np.ndarray] = {}
-        for c in cols:
-            enc = pc.dictionary_encode(tbl.column(c).combine_chunks())
+        for c, arr in zip(cols, tbl.columns):
+            enc = pc.dictionary_encode(arr.combine_chunks())
             labels[c] = np.array(
                 [str(v) for v in enc.dictionary.to_pylist()], dtype=object
             )
@@ -113,10 +146,8 @@ class CodedTable:
                 .astype(_code_dtype(len(labels[c])))
             )
         weights = {
-            w: pc.fill_null(tbl.column(w).combine_chunks(), 1.0).to_numpy(
-                zero_copy_only=False
-            )
-            for w in weight_cols
+            w: pc.fill_null(arr.combine_chunks(), 1.0).to_numpy(zero_copy_only=False)
+            for w, arr in zip(weight_cols, tbl.columns[len(cols):])
         }
         return cls(codes, labels, weights, tbl.num_rows)
 

@@ -9,31 +9,38 @@
 3. integrate the universal relation(s) with the input table
    (broadcast left joins, prefixed per extraction column);
 4. offline-prune input-table candidates; bin the outcome and the numeric
-   candidates; collect the analysis columns once as a dictionary-coded
-   table;
+   candidates; code the analysis columns as a dictionary-coded table;
 5. detect selection bias per extracted attribute and fit IPW weights, on
    the coded table;
 6. one scan over the coded table → online pruning → MCIMR (sharing the
    scan);
 7. responsibility ranking of the selected attributes.
 
-``Mesa.prepare`` (stages 1–5) makes exactly three Spark passes:
+``Mesa.prepare`` (stages 1–5) makes two Spark passes:
 
-* the **context pass**, one aggregation over the filtered input: the row
-  count, ``collect_set`` of every extraction column (the values to link),
-  and ``count`` + ``approx_count_distinct`` of the outcome and of every
-  input-table candidate (the offline row-pruning statistics, whose
-  distinct counts binning reuses);
-* the **binning pass**, one aggregation over the KG-joined lineage: the
-  quantile edges of the outcome and of the numeric candidates, and the
-  distinct counts of the extracted ones;
-* the **collect** of the binned analysis columns into the ``CodedTable``.
+* the **raw collect**, one ``toArrow`` of the filtered input projected to
+  the outcome, the exposure, every input-table candidate and every
+  extraction column (non-native numerics also as doubles). The driver
+  reads off it the row count, the values to link, and each column's exact
+  non-null and distinct counts (offline row pruning, bin or pass through);
+* the **percentile pass**, one aggregation over the KG-joined lineage: the
+  ``percentile_approx`` edges of the columns with more than ``bins``
+  values, and Spark's string of each value of the extracted numeric
+  attributes that pass through unbinned. An extracted attribute is a
+  function of its entity, so its distinct count is its universal
+  relation's, and no pass counts it.
 
 The universal relation has one row per value, so the broadcast left join
 keeps the input's rows, partitions and order: the edges are the ones the
-context alone would give. Each KG relation adds one broadcast job to each
-pass over the joined lineage. Selection-bias detection, the propensity
-fit and stages 6–7 count on the driver and run no Spark job.
+context alone would give, and the raw collect's rows are the joined
+lineage's. Each KG relation adds one broadcast job to the percentile pass;
+with no column needing it, the pass does not run. The coded table is then
+built on the driver: input columns are binned from their doubles
+(``contingency.bin_codes``, which equals ``bin_sql``), and each extracted
+attribute is coded once per entity and gathered per row by the row's
+entity. Selection-bias detection, the propensity fit and stages 6–7 count
+on the driver and run no Spark job. ``prep.df`` stays the lazy joined
+lineage with the bin and weight columns; prepare runs no action on it.
 
 The result carries the explanation plus everything the experiments report:
 explainability scores, pruning/missingness statistics, and stage timings.
@@ -43,26 +50,39 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.contingency import CodedTable, scan_counts
+from repro.core.contingency import (
+    CodedTable,
+    bin_codes,
+    first_seen,
+    label_sql,
+    scan_counts,
+)
 from repro.core.mcimr import ExplanationResult, mcimr
 from repro.core.pruning import (
     PruneReport,
     offline_prune_entity,
-    offline_row_aggs,
     offline_row_decide,
     online_prune,
+    row_counts,
 )
 from repro.core.query import (
     BIN_SUFFIX,
+    NATIVE_TYPES,
     AggQuery,
+    Binning,
     apply_context,
     ensure_binned,
+    is_numeric,
     sql_ident,
 )
 from repro.core.responsibility import responsibilities
-from repro.kg.extract import Extraction, extract_attributes, integrate
+from repro.kg.extract import KEY_COL, Extraction, extract_attributes, integrate
 from repro.kg.graph import KnowledgeGraph
 from repro.missing.ipw import prepare_weights, weight_exprs
 
@@ -126,7 +146,8 @@ class PreparedQuery:
     baselines and experiments can reuse the identical preparation.
 
     ``table`` holds the analysis columns (outcome bin, exposure, candidates)
-    collected once and dictionary-coded, plus the IPW weight arrays.
+    dictionary-coded, plus the IPW weight arrays: cell for cell what
+    ``CodedTable.collect`` of ``df`` would give, built without collecting it.
 
     ``df`` is the joined, binned lineage plus the weight columns as SQL
     ``CASE`` expressions over the outcome bin; they hold the table's exact
@@ -148,6 +169,70 @@ class PreparedQuery:
     timings: dict[str, float]
 
 
+def _collect_context(
+    ctx: DataFrame, cols: list[str], extraction_cols: list[str]
+) -> tuple[CodedTable, dict[str, np.ndarray], dict[str, list[str]]]:
+    """The raw collect: one ``toArrow`` of the context.
+
+    Returns ``cols`` and ``extraction_cols`` coded by their labels (as
+    ``CodedTable.collect`` would code them), each numeric column of
+    ``cols`` as doubles (NaN for null; non-native types are cast in Spark),
+    and per extraction column the sorted ``str`` of its distinct values,
+    the keys to link."""
+    schema = ctx.schema
+    coded = list(dict.fromkeys([*cols, *extraction_cols]))
+
+    def native(c: str) -> bool:
+        return isinstance(schema[c].dataType, NATIVE_TYPES)
+
+    numeric = [c for c in dict.fromkeys(cols) if is_numeric(ctx, c)]
+    cast = [c for c in numeric if not native(c)]
+    raw_links = [c for c in extraction_cols if not native(c)]
+    tbl = ctx.selectExpr(
+        *[label_sql(schema, c) for c in coded],
+        *[f"CAST({sql_ident(c)} AS DOUBLE)" for c in cast],
+        *[sql_ident(c) for c in raw_links],
+    ).toArrow()
+    n, k = len(coded), len(cast)
+    raw = CodedTable.from_arrow(tbl, coded)
+    # A native column's label column holds its values.
+    values = dict(zip(coded, tbl.columns)) | dict(zip(cast, tbl.columns[n : n + k]))
+    doubles = {
+        c: pc.fill_null(pc.cast(values[c], pa.float64(), safe=False), np.nan)
+        .to_numpy(zero_copy_only=False)
+        for c in numeric
+    }
+    linked = dict(zip(raw_links, tbl.columns[n + k :]))
+    link_values = {
+        c: sorted(str(v) for v in pc.unique(linked[c]).drop_null().to_pylist())
+        if c in linked
+        else sorted(raw.labels[c])
+        for c in extraction_cols
+    }
+    return raw, doubles, link_values
+
+
+def _row_entities(raw: CodedTable, col: str, ex: Extraction) -> np.ndarray:
+    """Each row's index into ``ex.wide`` (``-1``: no entity), matching
+    ``integrate``'s join of ``CAST(col AS STRING)`` to the relation's keys."""
+    index = {k: i for i, k in enumerate(ex.wide[KEY_COL])}
+    of_label = np.array([index.get(k, -1) for k in raw.labels[col]] + [-1])
+    return of_label[raw.codes[col]]
+
+
+def _entity_codes(
+    values: pd.Series, col: str, binning: Binning
+) -> tuple[np.ndarray, np.ndarray]:
+    """An extracted attribute coded once per entity (``-1``: null): its bin,
+    or its value labelled as Spark prints it."""
+    if col in binning.edges:
+        return bin_codes(values.to_numpy(np.float64), binning.edges[col])
+    ent_codes, uniques = pd.factorize(values)
+    spelled = binning.labels.get(col)
+    labels = [spelled.get(u) if spelled is not None else str(u) for u in uniques]
+    return ent_codes, np.array(labels, dtype=object)
+
+
 class Mesa:
     def __init__(self, spark: SparkSession, cfg: MesaConfig | None = None):
         self.spark = spark
@@ -162,9 +247,9 @@ class Mesa:
         extraction_cols: list[str] | None = None,
         exclude: set[str] | None = None,
     ) -> PreparedQuery:
-        """Stages 1–5 in three Spark passes: the context pass, the binning
-        pass and the collect (see the module docstring); IPW then runs on
-        the coded table. ``prep.df`` is marked for caching, and the caller
+        """Stages 1–5 in two Spark passes: the raw collect and the
+        percentile pass (see the module docstring); coding and IPW then run
+        on the driver. ``prep.df`` is marked for caching, and the caller
         owns that cache. Raises ``EmptyContextError`` when the context
         matches no rows."""
         prep = self._prepare(df, query, kg, extraction_cols, exclude)
@@ -196,19 +281,10 @@ class Mesa:
         )
         input_cands = [c for c in df.columns if c not in non_cand]
         extraction_cols = list(extraction_cols or []) if kg is not None else []
-        # Context pass: the row count, the distinct values to link per
-        # extraction column, and the offline-pruning statistics (which
-        # include the distinct counts binning needs) of O and the input
-        # candidates.
-        stats = ctx.selectExpr(
-            "count(1) AS __n",
-            *[
-                f"collect_set({sql_ident(c)}) AS {sql_ident('v_' + c)}"
-                for c in extraction_cols
-            ],
-            *offline_row_aggs([o, *input_cands]),
-        ).collect()[0].asDict()
-        n_ctx = stats["__n"]
+        raw, doubles, link_values = _collect_context(
+            ctx, [o, t_col, *input_cands], extraction_cols
+        )
+        n_ctx = raw.n_rows
         if n_ctx == 0:
             raise EmptyContextError(
                 f"query context {query.context!r} matches no rows"
@@ -221,7 +297,7 @@ class Mesa:
 
         # Extraction + entity-level offline pruning + integration.
         t0 = time.perf_counter()
-        extracted_cols: list[str] = []
+        extractions: list[tuple[str, Extraction, list[str], str]] = []
         offline_report = PruneReport()
         n_extracted_raw = 0
         multi = len(extraction_cols) > 1
@@ -229,7 +305,7 @@ class Mesa:
             ex: Extraction = extract_attributes(
                 self.spark,
                 kg,
-                sorted(str(v) for v in stats[f"v_{col}"]),
+                link_values[col],
                 hops=cfg.hops,
                 list_agg=cfg.list_agg,
             )
@@ -245,22 +321,22 @@ class Mesa:
                 )
                 for a, reason in rep.dropped.items():
                     offline_report.drop(prefix + a, reason)
-            ctx, new_cols = integrate(ctx, ex, col, prefix=prefix, attrs=attrs)
-            extracted_cols.extend(new_cols)
+            ctx, _ = integrate(ctx, ex, col, prefix=prefix, attrs=attrs)
+            extractions.append((col, ex, attrs, prefix))
+        extracted_cols = [p + a for _, _, attrs, p in extractions for a in attrs]
         timings["extract"] = time.perf_counter() - t0
 
         candidates_initial = len(input_cands) + max(
             n_extracted_raw, len(extracted_cols)
         )
         # Offline pruning of input-table candidates (row level), decided
-        # from the context pass's statistics.
+        # from the raw collect's exact counts.
         t0 = time.perf_counter()
         if cfg.offline_pruning and input_cands:
             input_cands, rep = offline_row_decide(
                 ctx,
                 input_cands,
-                stats,
-                n_ctx,
+                raw,
                 max_missing=cfg.max_missing,
                 unique_ratio=cfg.unique_ratio,
             )
@@ -268,26 +344,54 @@ class Mesa:
                 offline_report.drop(a, reason)
         timings["offline_prune"] = time.perf_counter() - t0
 
-        # Binning pass over the joined lineage: the outcome and every
-        # numeric candidate; only extracted columns still need a distinct
-        # count.
+        # The percentile pass over the joined lineage. An extracted
+        # attribute is a function of its entity, so its distinct count is
+        # its universal relation's. Input columns with at most ``bins``
+        # values pass through with the raw collect's labels and need no
+        # pass at all.
         t0 = time.perf_counter()
-        all_cands = input_cands + extracted_cols
-        ctx, bin_map = ensure_binned(
-            ctx,
-            [o, *all_cands],
-            bins=bins,
-            distinct={c: stats[f"d_{c}"] for c in [o, *input_cands]},
+        distinct = {c: row_counts(raw, c)[1] for c in [o, *input_cands]}
+        distinct.update(
+            (p + a, int(ex.wide[a].nunique()))
+            for _, ex, attrs, p in extractions
+            for a in attrs
         )
-        o_bin = bin_map[o]
-        analysis_cols = [bin_map[c] for c in all_cands]
-        extracted_analysis = [bin_map[c] for c in extracted_cols]
+        binning = ensure_binned(
+            ctx,
+            [c for c in [o, *input_cands] if distinct[c] > bins] + extracted_cols,
+            bins=bins,
+            distinct=distinct,
+        )
+        ctx = binning.df
+        o_bin = binning.mapping.get(o, o)
+        all_cands = input_cands + extracted_cols
+        analysis_cols = [binning.mapping.get(c, c) for c in all_cands]
+        extracted_analysis = [binning.mapping[c] for c in extracted_cols]
         timings["binning"] = time.perf_counter() - t0
 
-        # The one collect of the analysis columns.
+        # Coding on the driver: the table Spark's collect of the binned
+        # lineage would give, row for row.
         t0 = time.perf_counter()
-        table = CodedTable.collect(ctx, [o_bin, t_col, *analysis_cols])
-        timings["collect"] = time.perf_counter() - t0
+        codes: dict[str, np.ndarray] = {}
+        labels: dict[str, np.ndarray] = {}
+        for c in [o, t_col, *input_cands]:
+            a = binning.mapping.get(c, c)
+            if c in binning.edges:
+                codes[a], labels[a] = first_seen(
+                    *bin_codes(doubles[c], binning.edges[c])
+                )
+            else:
+                codes[a], labels[a] = raw.codes[c], raw.labels[c]
+        for col, ex, attrs, prefix in extractions:
+            row_entity = _row_entities(raw, col, ex)
+            for a in attrs:
+                ent_codes, ent_labels = _entity_codes(ex.wide[a], prefix + a, binning)
+                c = binning.mapping[prefix + a]
+                codes[c], labels[c] = first_seen(
+                    np.append(ent_codes, -1)[row_entity], ent_labels
+                )
+        table = CodedTable(codes, labels, {}, n_ctx)
+        timings["coding"] = time.perf_counter() - t0
 
         # IPW weights for extracted attributes with selection bias, on the
         # driver.

@@ -6,8 +6,9 @@ Two families, exactly as the paper stages them:
   never be interesting explanations: constant value, >90% missing values,
   or near-unique "id-like" high-entropy columns (WIKIID). Runs at the
   entity level on the extracted universal relation (cheap pandas) and at
-  the row level for input-table candidates (non-null and approximate
-  distinct counts, which ``Mesa.prepare`` folds into its context pass).
+  the row level for input-table candidates (exact non-null and distinct
+  counts over collected labels: ``Mesa.prepare`` reads them off its raw
+  collect of the context).
 * **Online (query-specific)** — once O and T are known: drop attributes
   logically dependent on T or O (approximate FDs, ``H(T|E) ≈ H(E|T) ≈ 0``)
   and attributes with low individual relevance (``O ⟂ E | C`` and
@@ -17,17 +18,18 @@ Two families, exactly as the paper stages them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.contingency import VAL_COL
+from repro.core.contingency import VAL_COL, CodedTable
 from repro.core.info_theory import (
     cmi_corrected_from_counts,
     cond_entropy_from_counts,
 )
-from repro.core.query import is_numeric, sql_ident
+from repro.core.query import is_numeric
 
 
 @dataclass
@@ -80,38 +82,27 @@ def offline_prune_entity(
     return kept, report
 
 
-def offline_row_aggs(attrs: Sequence[str]) -> list[str]:
-    """The aggregates behind row-level offline pruning, as SQL: per
-    attribute its approximate distinct count ``d_<a>`` and its non-null
-    count ``n_<a>``.
-
-    ``Mesa.prepare`` folds them into its context pass, which also counts
-    the rows."""
-    return [
-        agg
-        for a in attrs
-        for agg in (
-            f"approx_count_distinct({sql_ident(a)}) AS {sql_ident('d_' + a)}",
-            f"count({sql_ident(a)}) AS {sql_ident('n_' + a)}",
-        )
-    ]
+def row_counts(table: CodedTable, attr: str) -> tuple[int, int]:
+    """``attr``'s exact non-null and distinct counts in ``table``, a fresh
+    collect (whose labels are exactly the observed values)."""
+    return int(np.count_nonzero(table.codes[attr] >= 0)), len(table.labels[attr])
 
 
 def offline_row_decide(
     df: DataFrame,
     attrs: Sequence[str],
-    stats: Mapping[str, int],
-    n: int,
+    table: CodedTable,
     *,
     max_missing: float = 0.9,
     unique_ratio: float = 0.95,
 ) -> tuple[list[str], PruneReport]:
-    """Offline pruning of row-level candidates from ``offline_row_aggs``'
-    statistics over ``n`` rows (``df`` supplies the column types)."""
+    """Offline pruning of row-level candidates from their ``row_counts``
+    in ``table``, a collect of ``df`` (which supplies the column types)."""
     report = PruneReport()
     kept: list[str] = []
+    n = table.n_rows
     for a in attrs:
-        n_obs, n_dist = stats[f"n_{a}"], stats[f"d_{a}"]
+        n_obs, n_dist = row_counts(table, a)
         if n and n_obs < (1 - max_missing) * n:
             report.drop(a, "missing")
         elif n_dist <= 1:
@@ -134,15 +125,14 @@ def offline_prune_rows(
     max_missing: float = 0.9,
     unique_ratio: float = 0.95,
 ) -> tuple[list[str], PruneReport]:
-    """Offline pruning of row-level candidates in one distributed pass."""
+    """Offline pruning of row-level candidates: one collect of ``attrs``,
+    then ``offline_row_decide``, the counts ``Mesa.prepare`` uses."""
     if not attrs:
         return [], PruneReport()
-    row = df.selectExpr(*offline_row_aggs(attrs), "count(1) AS __n").collect()[0]
     return offline_row_decide(
         df,
         attrs,
-        row.asDict(),
-        row["__n"],
+        CodedTable.collect(df, attrs),
         max_missing=max_missing,
         unique_ratio=unique_ratio,
     )

@@ -12,10 +12,12 @@ string (``bin_sql``) with each edge as an exact double, so the assignment
 stays in the optimizer and costs one expression to build, not one Column
 call per edge. ``ensure_binned`` is the convenience used throughout:
 categorical and small-domain columns pass through untouched, numeric
-columns get a ``__b`` sibling. It finds the distinct counts it is not
-given and every column's quantile edges in one fused aggregation
-(``approx_count_distinct`` + ``percentile_approx`` per column), and adds
-all bin columns in one ``withColumns``.
+columns get a ``__b`` sibling. It takes the exact distinct counts the
+caller has, finds the others (``size(collect_set(x))``) and every wide
+column's ``percentile_approx`` edges in one fused aggregation, and adds all
+bin columns in one ``withColumns``. ``Mesa.prepare`` passes every count, so
+the aggregation computes only edges (and Spark's labels of the non-native
+numeric columns that pass through).
 
 Expressions are built as SQL strings throughout: each ``pyspark.sql.
 functions`` call is a round trip to the JVM, and building ~40 aggregates
@@ -37,6 +39,11 @@ BIN_SUFFIX = "__b"
 _NUMERIC_TYPES = (
     T.ByteType, T.ShortType, T.IntegerType, T.LongType,
     T.FloatType, T.DoubleType, T.DecimalType,
+)
+
+#: Spark types whose Python ``str`` equals Spark's ``CAST(x AS STRING)``
+NATIVE_TYPES = (
+    T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.StringType,
 )
 
 _COMPOSITE_SEP = "‖"  # '‖' — unlikely to appear in data values
@@ -174,48 +181,77 @@ def bin_numeric(
     return df.withColumns({out: F.expr(bin_sql(col, edges))})
 
 
+@dataclass(frozen=True)
+class Binning:
+    """``ensure_binned``'s result.
+
+    ``df`` is the input frame plus one ``bin_sql`` column per binned
+    column; ``mapping`` maps each column to its analysis column (``col__b``
+    when binned, else ``col``); ``edges`` holds the binned columns' interior
+    edges; ``labels`` maps each value of a non-native numeric column passed
+    through to Spark's ``CAST(x AS STRING)`` of it (Python cannot spell a
+    double the way the JVM does, e.g. ``1.0E7``)."""
+
+    df: DataFrame
+    mapping: dict[str, str]
+    edges: dict[str, list[float]]
+    labels: dict[str, dict[object, str]]
+
+
 def ensure_binned(
     df: DataFrame,
     cols: Sequence[str],
     *,
     bins: int = 8,
     distinct: Mapping[str, int] | None = None,
-) -> tuple[DataFrame, dict[str, str]]:
+) -> Binning:
     """Bin every numeric column in ``cols``; pass categoricals through.
 
-    Returns the augmented DataFrame and a mapping ``original -> analysis
-    column`` (identity for categoricals, ``col__b`` for binned numerics).
     Numeric columns whose observed domain is already ≤ ``bins`` distinct
     values are treated as categorical codes and passed through.
 
-    ``distinct`` holds approximate distinct counts the caller already has
-    (``approx_count_distinct`` with its default accuracy); the one
-    aggregation computes the others and the quantile edges of every column
-    that has more than ``bins`` values. NaN is excluded from the edges like
-    null.
+    ``distinct`` holds the exact distinct counts the caller already has.
+    One aggregation computes the others (``size(collect_set(x))``), the
+    ``percentile_approx`` edges of every column that may have more than
+    ``bins`` values, and the labels of the non-native numeric columns known
+    to pass through. With every count given and no such column, it runs no
+    Spark job. NaN is excluded from the edges like null.
     """
     distinct = dict(distinct or {})
+    schema = df.schema
     numeric = [c for c in cols if is_numeric(df, c)]
     unknown = [c for c in numeric if c not in distinct]
     wide = [c for c in numeric if c in unknown or distinct[c] > bins]
+    spelled = [
+        c
+        for c in numeric
+        if c not in wide and not isinstance(schema[c].dataType, NATIVE_TYPES)
+    ]
     edges: dict[str, list[float]] = {}
-    if wide:
+    labels: dict[str, dict[object, str]] = {}
+    if wide or spelled:
         probs = ", ".join(sql_double(p) for p in _probs(bins))
-        aggs = [f"approx_count_distinct({sql_ident(c)})" for c in unknown]
+        aggs = [f"size(collect_set({sql_ident(c)}))" for c in unknown]
         for c in wide:
             x = f"CAST({sql_ident(c)} AS DOUBLE)"
             aggs.append(
                 f"percentile_approx(CASE WHEN NOT isnan({x}) THEN {x} END, "
                 f"array({probs}), {_QUANTILE_ACCURACY})"
             )
+        aggs += [
+            f"collect_set(struct({sql_ident(c)}, CAST({sql_ident(c)} AS STRING)))"
+            for c in spelled
+        ]
         row = df.selectExpr(*aggs).collect()[0]
         distinct.update(zip(unknown, row[: len(unknown)]))
         for c, qs in zip(wide, row[len(unknown):]):
             if distinct[c] > bins:
                 edges[c] = _dedup(qs)
+        for c, pairs in zip(spelled, row[len(unknown) + len(wide):]):
+            labels[c] = {v: s for v, s in pairs}
     mapping = {c: c + BIN_SUFFIX if c in edges else c for c in cols}
     if edges:
         df = df.withColumns(
             {c + BIN_SUFFIX: F.expr(bin_sql(c, e)) for c, e in edges.items()}
         )
-    return df, mapping
+    return Binning(df, mapping, edges, labels)

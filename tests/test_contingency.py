@@ -481,13 +481,13 @@ def _adversarial(spark):
 
 
 class TestPrepare:
-    """``Mesa.prepare``: three Spark passes, and IPW weights on the coded
-    table that equal the frame's weight columns and independent references."""
+    """``Mesa.prepare``: a raw collect and one percentile pass, a coded
+    table equal to the prepared frame's own collect, and IPW weights that
+    equal the frame's weight columns and independent references."""
 
-    def test_prepare_runs_seven_jobs(self, spark, so_ds):
-        # The context pass, the binning pass and the collect, plus one
-        # broadcast of each of SO's two KG relations in the two passes over
-        # the joined lineage.
+    def test_prepare_runs_four_jobs(self, spark, so_ds):
+        # The raw collect, the percentile pass over the joined lineage, and
+        # one broadcast of each of SO's two KG relations in that pass.
         cq = get_query("SO", "Q1")
         prep, jobs = _spark_jobs(
             spark,
@@ -497,7 +497,29 @@ class TestPrepare:
         )
         # No unpersist: the frame's plan equals the cached so_prepared one.
         assert prep.weights
-        assert jobs == 7
+        assert jobs == 4
+
+    def test_prepare_without_kg_runs_a_collect_and_one_aggregation(
+        self, spark, so_ds
+    ):
+        cq = get_query("SO", "Q1")
+        prep, jobs = _spark_jobs(
+            spark, lambda: Mesa(spark)._prepare(so_ds.df, cq.query, None, None, None)
+        )
+        assert prep.o_bin.endswith("__b")  # the outcome needs edges
+        assert jobs == 2
+
+    def test_prepare_without_edges_runs_one_job(self, spark):
+        # Every column is categorical or has at most ``bins`` values (the
+        # 5-value double passes through with its collected labels).
+        df, _ = _adversarial(spark)
+        small = df.select("t", "five", "small", "city")
+        q = AggQuery(t="t", o="five")
+        prep, jobs = _spark_jobs(
+            spark, lambda: Mesa(spark)._prepare(small, q, None, None, None)
+        )
+        assert prep.candidates == ["small", "city"]
+        assert jobs == 1
 
     def test_so_table_matches_frame(self, so_prepared):
         _, prep, _ = so_prepared

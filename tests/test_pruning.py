@@ -8,6 +8,7 @@ from repro.core.pruning import (
     offline_prune_entity,
     offline_prune_rows,
     online_prune,
+    row_counts,
 )
 
 
@@ -71,6 +72,27 @@ class TestOfflineRows:
         kept, rep = offline_prune_rows(df, ["rowid"])
         assert kept == []
         assert rep.dropped["rowid"] == "high_entropy"
+
+    def test_exact_counts_equal_pandas_where_hll_is_off(self, spark):
+        rng = np.random.default_rng(4)
+        n = 3000
+        pdf = pd.DataFrame(
+            {
+                "s": [f"v{v}" for v in rng.integers(0, 2500, n)],
+                "i": rng.integers(0, 2000, n),
+                "x": np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n)),
+            }
+        )
+        pdf.loc[rng.random(n) < 0.1, "s"] = None
+        df = spark.createDataFrame(pdf).selectExpr(
+            "s", "i", "CASE WHEN isnan(x) THEN NULL ELSE x END AS x"
+        )
+        table = CodedTable.collect(df, ["s", "i", "x"])
+        for c in ("s", "i", "x"):
+            assert row_counts(table, c) == (pdf[c].notna().sum(), pdf[c].nunique())
+        # approx_count_distinct, which these counts replace, misses here.
+        hll = df.selectExpr(*[f"approx_count_distinct({c})" for c in "six"]).first()
+        assert list(hll) != [pdf[c].nunique() for c in "six"]
 
     def test_empty_attrs(self, spark, wide):
         df = spark.createDataFrame(wide)

@@ -137,22 +137,22 @@ class TestBinning:
         assert not is_numeric(li, "l_returnflag")
 
     def test_ensure_binned_passthrough_categorical(self, li):
-        df2, mapping = ensure_binned(li, ["l_returnflag", "l_extendedprice"], bins=4)
-        assert mapping["l_returnflag"] == "l_returnflag"
-        assert mapping["l_extendedprice"] == "l_extendedprice__b"
-        assert "l_extendedprice__b" in df2.columns
+        b = ensure_binned(li, ["l_returnflag", "l_extendedprice"], bins=4)
+        assert b.mapping["l_returnflag"] == "l_returnflag"
+        assert b.mapping["l_extendedprice"] == "l_extendedprice__b"
+        assert "l_extendedprice__b" in b.df.columns
 
     def test_ensure_binned_small_domain_numeric_passthrough(self, li):
         # l_linenumber has 7 distinct values <= bins=8: keep as-is.
-        _, mapping = ensure_binned(li, ["l_linenumber"], bins=8)
-        assert mapping["l_linenumber"] == "l_linenumber"
+        b = ensure_binned(li, ["l_linenumber"], bins=8)
+        assert b.mapping["l_linenumber"] == "l_linenumber"
 
 
 def _bins_of(df, col, bins):
     """``col``'s bin column (mapped name) from ``ensure_binned``, row-aligned
     with ``col`` via an explicit id ordering."""
-    out, mapping = ensure_binned(df, [col], bins=bins)
-    return out.orderBy("id").select(col, mapping[col]).toPandas()
+    b = ensure_binned(df, [col], bins=bins)
+    return b.df.orderBy("id").select(col, b.mapping[col]).toPandas()
 
 
 class TestFusedBinning:
@@ -181,29 +181,29 @@ class TestFusedBinning:
         spark.conf.set("spark.sql.adaptive.enabled", "false")
         sc.setJobGroup(group, "ensure_binned one-pass check")
         try:
-            out, mapping = ensure_binned(df, cols, bins=8)
+            b = ensure_binned(df, cols, bins=8)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
             spark.conf.set("spark.sql.adaptive.enabled", aqe)
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
-        assert mapping == {
+        assert b.mapping == {
             "w1": "w1__b",
             "w2": "w2__b",
             "w3": "w3__b",
             "small": "small",
             "cat": "cat",
         }
-        assert {"w1__b", "w2__b", "w3__b"} <= set(out.columns)
-        assert "small__b" not in out.columns and "cat__b" not in out.columns
+        assert {"w1__b", "w2__b", "w3__b"} <= set(b.df.columns)
+        assert "small__b" not in b.df.columns and "cat__b" not in b.df.columns
 
     def test_all_null_numeric_passes_through(self, spark):
         df = spark.createDataFrame(
             [(float(i), None) for i in range(50)], "x double, empty double"
         )
-        out, mapping = ensure_binned(df, ["x", "empty"], bins=4)
-        assert mapping == {"x": "x__b", "empty": "empty"}
-        assert out.select("x__b").distinct().count() == 4
+        b = ensure_binned(df, ["x", "empty"], bins=4)
+        assert b.mapping == {"x": "x__b", "empty": "empty"}
+        assert b.df.select("x__b").distinct().count() == 4
 
     def test_nan_excluded_from_edges_and_binned_null(self, spark):
         # 80 finite values and 20 NaN: NaN-free quartiles cut 1..80 into
@@ -239,7 +239,8 @@ class TestFusedBinning:
             {"id": np.arange(n), "a": rng.normal(size=n), "b": rng.pareto(2.0, n)}
         )
         df = spark.createDataFrame(pdf).repartition(4)
-        out, mapping = ensure_binned(df, ["a", "b"], bins=bins)
+        b = ensure_binned(df, ["a", "b"], bins=bins)
+        out, mapping = b.df, b.mapping
         for c in ("a", "b"):
             # Edges are data values and bins are right-closed, so each
             # edge is the largest value of its bin.
