@@ -4,9 +4,10 @@ Every information-theoretic score in MESA is computed from a contingency
 frame produced here. The estimators only ever read contingencies bounded by
 attribute domains, so the analysis columns live on the driver as a
 :class:`CodedTable`: each value column is small-int codes plus its label
-dictionary, each IPW weight column a ``float64`` array. Counting is numpy over a mixed-radix
-key of the codes (``np.bincount``, weighted where asked), so MCIMR, pruning,
-responsibility and subgroup scoring run no Spark job. Memory is bounded by
+dictionary, each IPW weight column a ``float64`` array. Counting is numpy
+over a mixed-radix key of the codes (``np.bincount``, weighted where
+asked), so MCIMR, pruning, responsibility and subgroup scoring run no Spark
+job. Memory is bounded by
 rows × analysis columns × code width (1–4 bytes).
 
 Three shapes:

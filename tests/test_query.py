@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.contingency import bin_codes
 from repro.core.query import (
     AggQuery,
     apply_context,
@@ -278,8 +279,8 @@ _BIN_VALUES = {
 
 
 class TestBinSql:
-    """The SQL ``CASE`` bins equal ``np.searchsorted(edges, x, "left")``;
-    null and NaN stay null."""
+    """The SQL ``CASE`` bins and the driver's ``bin_codes`` equal
+    ``np.searchsorted(edges, x, "left")``; null and NaN stay null."""
 
     @pytest.mark.parametrize("dtype", list(_BIN_VALUES))
     def test_bins_equal_searchsorted(self, spark, dtype):
@@ -299,3 +300,6 @@ class TestBinSql:
             for v in vals
         ]
         assert [None if pd.isna(g) else int(g) for g in got] == want
+        x = np.array([np.nan if v is None else float(v) for v in vals])
+        codes, labels = bin_codes(x, _EDGES)
+        assert [None if c < 0 else int(labels[c]) for c in codes] == want
