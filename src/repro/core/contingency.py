@@ -34,10 +34,11 @@ the table's label dictionaries, so the estimators in
 Labels equal Spark's ``cast("string")`` of the value (integral and string
 columns are collected natively and labelled exactly as Spark would print
 them; every other type is cast in Spark), numbered in order of first
-appearance; ``bin_codes`` and ``first_seen`` code bins on the driver to
-the same table. Null values — incomplete cases for that attribute — are
-dropped per attribute, which is exactly the complete-case semantics the IPW
-weights correct for. A null weight counts as 1.
+appearance; ``first_seen`` numbers the bins ``query.bin_numeric``
+assigns on the driver the same way. Null values — incomplete cases for
+that attribute — are dropped per attribute, which is exactly the
+complete-case semantics the IPW weights correct for. A null weight counts
+as 1.
 """
 from __future__ import annotations
 
@@ -86,14 +87,6 @@ def first_seen(
     remap = np.full(len(labels) + 1, -1, dtype=np.int64)  # [-1] -> -1
     remap[order] = np.arange(len(order))
     return remap[codes].astype(_code_dtype(len(order))), labels[order]
-
-
-def bin_codes(x: np.ndarray, edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``bin_sql`` on the driver: each double's bin (``-1`` for NaN, which
-    marks null too) and the bins' labels."""
-    b = np.searchsorted(np.asarray(edges, dtype=np.float64), x, side="left")
-    b[np.isnan(x)] = -1
-    return b, np.array([str(i) for i in range(len(edges) + 1)], dtype=object)
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,12 @@ keeps the input's rows, partitions and order: the edges are the ones the
 context alone would give, and the raw collect's rows are the joined
 lineage's. Each KG relation adds one broadcast job to the percentile pass;
 with no column needing it, the pass does not run. The coded table is then
-built on the driver: input columns are binned from their doubles
-(``contingency.bin_codes``, which equals ``bin_sql``), and each extracted
-attribute is coded once per entity and gathered per row by the row's
-entity. Selection-bias detection, the propensity fit and stages 6–7 count
-on the driver and run no Spark job. ``prep.df`` stays the lazy joined
+built on the driver: ``query.bin_numeric`` (the driver spelling of
+``bin_sql``) bins each binned input column from its doubles and each
+binned extracted attribute once over its entities' values, and every
+extracted attribute is coded once per entity and gathered per row by the
+row's entity. Selection-bias detection, the propensity fit and stages 6–7
+count on the driver and run no Spark job. ``prep.df`` stays the lazy joined
 lineage with the bin and weight columns; prepare runs no action on it.
 
 The result carries the explanation plus everything the experiments report:
@@ -56,13 +57,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.contingency import (
-    CodedTable,
-    bin_codes,
-    first_seen,
-    label_sql,
-    scan_counts,
-)
+from repro.core.contingency import CodedTable, first_seen, label_sql, scan_counts
 from repro.core.mcimr import ExplanationResult, mcimr
 from repro.core.pruning import (
     PruneReport,
@@ -77,6 +72,7 @@ from repro.core.query import (
     AggQuery,
     Binning,
     apply_context,
+    bin_numeric,
     ensure_binned,
     is_numeric,
     sql_ident,
@@ -177,38 +173,25 @@ def _collect_context(
     Returns ``cols`` and ``extraction_cols`` coded by their labels (as
     ``CodedTable.collect`` would code them), each numeric column of
     ``cols`` as doubles (NaN for null; non-native types are cast in Spark),
-    and per extraction column the sorted ``str`` of its distinct values,
-    the keys to link."""
+    and per extraction column its sorted labels, the keys to link: Spark's
+    ``CAST(col AS STRING)``, the key ``integrate`` joins on."""
     schema = ctx.schema
     coded = list(dict.fromkeys([*cols, *extraction_cols]))
-
-    def native(c: str) -> bool:
-        return isinstance(schema[c].dataType, NATIVE_TYPES)
-
     numeric = [c for c in dict.fromkeys(cols) if is_numeric(ctx, c)]
-    cast = [c for c in numeric if not native(c)]
-    raw_links = [c for c in extraction_cols if not native(c)]
+    cast = [c for c in numeric if not isinstance(schema[c].dataType, NATIVE_TYPES)]
     tbl = ctx.selectExpr(
         *[label_sql(schema, c) for c in coded],
         *[f"CAST({sql_ident(c)} AS DOUBLE)" for c in cast],
-        *[sql_ident(c) for c in raw_links],
     ).toArrow()
-    n, k = len(coded), len(cast)
     raw = CodedTable.from_arrow(tbl, coded)
     # A native column's label column holds its values.
-    values = dict(zip(coded, tbl.columns)) | dict(zip(cast, tbl.columns[n : n + k]))
+    values = dict(zip(coded, tbl.columns)) | dict(zip(cast, tbl.columns[len(coded) :]))
     doubles = {
         c: pc.fill_null(pc.cast(values[c], pa.float64(), safe=False), np.nan)
         .to_numpy(zero_copy_only=False)
         for c in numeric
     }
-    linked = dict(zip(raw_links, tbl.columns[n + k :]))
-    link_values = {
-        c: sorted(str(v) for v in pc.unique(linked[c]).drop_null().to_pylist())
-        if c in linked
-        else sorted(raw.labels[c])
-        for c in extraction_cols
-    }
+    link_values = {c: sorted(raw.labels[c]) for c in extraction_cols}
     return raw, doubles, link_values
 
 
@@ -226,7 +209,7 @@ def _entity_codes(
     """An extracted attribute coded once per entity (``-1``: null): its bin,
     or its value labelled as Spark prints it."""
     if col in binning.edges:
-        return bin_codes(values.to_numpy(np.float64), binning.edges[col])
+        return bin_numeric(values.to_numpy(np.float64), binning.edges[col])
     ent_codes, uniques = pd.factorize(values)
     spelled = binning.labels.get(col)
     labels = [spelled.get(u) if spelled is not None else str(u) for u in uniques]
@@ -266,6 +249,8 @@ class Mesa:
     ) -> PreparedQuery:
         """``prepare`` without marking ``prep.df`` for caching."""
         cfg = self.cfg
+        if cfg.bins < 2:
+            raise ValueError(f"MesaConfig.bins must be at least 2, got {cfg.bins}")
         timings: dict[str, float] = {}
         exclude = exclude or set()
         t0 = time.perf_counter()
@@ -302,6 +287,8 @@ class Mesa:
         n_extracted_raw = 0
         multi = len(extraction_cols) > 1
         for col in extraction_cols:
+            if not link_values[col]:
+                continue  # no value in the context: nothing to extract
             ex: Extraction = extract_attributes(
                 self.spark,
                 kg,
@@ -378,7 +365,7 @@ class Mesa:
             a = binning.mapping.get(c, c)
             if c in binning.edges:
                 codes[a], labels[a] = first_seen(
-                    *bin_codes(doubles[c], binning.edges[c])
+                    *bin_numeric(doubles[c], binning.edges[c])
                 )
             else:
                 codes[a], labels[a] = raw.codes[c], raw.labels[c]

@@ -7,17 +7,18 @@ that shape; execution is plain Spark SQL (checked against DuckDB by the
 tests via ``repro.oracle.assert_equivalent``).
 
 Numeric attributes are analyzed *binned* (the paper assumes binned
-numerics). A bin is one SQL ``CASE`` over the quantile edges, written as a
-string (``bin_sql``) with each edge as an exact double, so the assignment
-stays in the optimizer and costs one expression to build, not one Column
-call per edge. ``ensure_binned`` is the convenience used throughout:
-categorical and small-domain columns pass through untouched, numeric
-columns get a ``__b`` sibling. It takes the exact distinct counts the
-caller has, finds the others (``size(collect_set(x))``) and every wide
-column's ``percentile_approx`` edges in one fused aggregation, and adds all
-bin columns in one ``withColumns``. ``Mesa.prepare`` passes every count, so
-the aggregation computes only edges (and Spark's labels of the non-native
-numeric columns that pass through).
+numerics). This module owns the bin rule, in two spellings that must
+agree: ``bin_sql``, one SQL ``CASE`` over the edges with each edge as an
+exact double (so the assignment stays in the optimizer and costs one
+expression to build, not one Column call per edge), and ``bin_numeric``,
+the same rule over a numpy array on the driver (``np.searchsorted``).
+``ensure_binned`` decides what to bin: given the caller's exact distinct
+counts, categorical and small-domain columns pass through untouched and
+every wider numeric column gets ``quantile_edges`` from one fused
+``percentile_approx`` aggregation (which also fetches Spark's labels of
+the non-native numeric columns that pass through) and a ``__b`` sibling,
+all added in one ``withColumns``. ``Mesa.prepare`` codes its table with
+``bin_numeric`` over those edges.
 
 Expressions are built as SQL strings throughout: each ``pyspark.sql.
 functions`` call is a round trip to the JVM, and building ~40 aggregates
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Sequence
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -130,19 +132,14 @@ def _probs(bins: int) -> list[float]:
     return [i / bins for i in range(1, bins)]
 
 
-def _dedup(qs: Sequence[float]) -> list[float]:
-    """Strictly increasing edges from sorted quantiles."""
+def quantile_edges(qs: Sequence[float]) -> list[float]:
+    """Interior bin edges from one column's sorted percentiles: strictly
+    increasing, repeated quantiles dropped."""
     edges: list[float] = []
     for q in qs:
         if not edges or q > edges[-1]:
             edges.append(float(q))
     return edges
-
-
-def quantile_edges(df: DataFrame, col: str, bins: int) -> list[float]:
-    """Interior quantile cut points (deduplicated) for ``col``."""
-    qs = df.where(F.col(col).isNotNull()).approxQuantile(col, _probs(bins), 0.001)
-    return _dedup(qs)
 
 
 def bin_sql(col: str, edges: Sequence[float]) -> str:
@@ -161,24 +158,13 @@ def bin_sql(col: str, edges: Sequence[float]) -> str:
 
 
 def bin_numeric(
-    df: DataFrame,
-    col: str,
-    *,
-    bins: int = 8,
-    out: str | None = None,
-    edges: Sequence[float] | None = None,
-) -> DataFrame:
-    """Add an integer quantile-bin column for ``col`` (nulls stay null).
-
-    The bin assignment is ``bin_sql``'s ``CASE`` over the approx-quantile
-    edges, evaluated inside Catalyst — no Python-side row work. ``edges``
-    are precomputed interior cut points; without them this runs one
-    ``quantile_edges`` job.
-    """
-    out = out or col + BIN_SUFFIX
-    if edges is None:
-        edges = quantile_edges(df, col, bins)
-    return df.withColumns({out: F.expr(bin_sql(col, edges))})
+    x: np.ndarray, edges: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bin_sql`` on the driver: each double's bin (``-1`` for NaN, which
+    marks null too) and the bins' labels."""
+    b = np.searchsorted(np.asarray(edges, dtype=np.float64), x, side="left")
+    b[np.isnan(x)] = -1
+    return b, np.array([str(i) for i in range(len(edges) + 1)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -203,25 +189,21 @@ def ensure_binned(
     cols: Sequence[str],
     *,
     bins: int = 8,
-    distinct: Mapping[str, int] | None = None,
+    distinct: Mapping[str, int],
 ) -> Binning:
     """Bin every numeric column in ``cols``; pass categoricals through.
 
-    Numeric columns whose observed domain is already ≤ ``bins`` distinct
-    values are treated as categorical codes and passed through.
-
-    ``distinct`` holds the exact distinct counts the caller already has.
-    One aggregation computes the others (``size(collect_set(x))``), the
-    ``percentile_approx`` edges of every column that may have more than
-    ``bins`` values, and the labels of the non-native numeric columns known
-    to pass through. With every count given and no such column, it runs no
-    Spark job. NaN is excluded from the edges like null.
+    ``distinct`` holds the exact distinct count of every numeric column in
+    ``cols``. Those with at most ``bins`` values are treated as categorical
+    codes and passed through. One aggregation computes the
+    ``percentile_approx`` edges of the others (``quantile_edges`` of each
+    column's percentiles; NaN is excluded like null) and the labels of the
+    non-native numeric columns that pass through. With no such column it
+    runs no Spark job.
     """
-    distinct = dict(distinct or {})
     schema = df.schema
     numeric = [c for c in cols if is_numeric(df, c)]
-    unknown = [c for c in numeric if c not in distinct]
-    wide = [c for c in numeric if c in unknown or distinct[c] > bins]
+    wide = [c for c in numeric if distinct[c] > bins]
     spelled = [
         c
         for c in numeric
@@ -231,7 +213,7 @@ def ensure_binned(
     labels: dict[str, dict[object, str]] = {}
     if wide or spelled:
         probs = ", ".join(sql_double(p) for p in _probs(bins))
-        aggs = [f"size(collect_set({sql_ident(c)}))" for c in unknown]
+        aggs = []
         for c in wide:
             x = f"CAST({sql_ident(c)} AS DOUBLE)"
             aggs.append(
@@ -243,11 +225,9 @@ def ensure_binned(
             for c in spelled
         ]
         row = df.selectExpr(*aggs).collect()[0]
-        distinct.update(zip(unknown, row[: len(unknown)]))
-        for c, qs in zip(wide, row[len(unknown):]):
-            if distinct[c] > bins:
-                edges[c] = _dedup(qs)
-        for c, pairs in zip(spelled, row[len(unknown) + len(wide):]):
+        for c, qs in zip(wide, row):
+            edges[c] = quantile_edges(qs)
+        for c, pairs in zip(spelled, row[len(wide):]):
             labels[c] = {v: s for v, s in pairs}
     mapping = {c: c + BIN_SUFFIX if c in edges else c for c in cols}
     if edges:

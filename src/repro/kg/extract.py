@@ -118,7 +118,8 @@ def extract_attributes(
     hops: int = 1,
     list_agg: str = "mean",
 ) -> Extraction:
-    """Build the universal relation of KG attributes for ``values``."""
+    """Build the universal relation of KG attributes for ``values``, which
+    must not be empty."""
     links = link_values(values, kg)
     rows: list[dict[str, object]] = []
     for v, eid in links.items():
@@ -127,8 +128,6 @@ def extract_attributes(
             row.update(_hop_props(kg, eid, hops, list_agg))
         rows.append(row)
     wide = pd.DataFrame(rows)
-    if KEY_COL not in wide.columns:  # no values at all
-        wide = pd.DataFrame(columns=[KEY_COL])
     # Sanitize attribute names, disambiguating collisions deterministically.
     renames: dict[str, str] = {}
     seen: set[str] = set()
@@ -143,9 +142,7 @@ def extract_attributes(
     wide = wide.rename(columns=renames)
     wide = _coerce_types(wide)
     attrs = sorted(seen)
-    table = spark.createDataFrame(wide) if len(wide.columns) > 1 or len(wide) else (
-        spark.createDataFrame(pd.DataFrame({KEY_COL: pd.Series(dtype=str)}))
-    )
+    table = spark.createDataFrame(wide)
     # pandas NaN arrives in Spark as a double NaN *value*, not SQL null —
     # which would silently defeat complete-case filtering and binning.
     nan_to_null = {

@@ -25,9 +25,10 @@ hold; otherwise IPW reweights complete cases by
   attribute by the contingency counts anyway). ``weight_exprs`` writes the
   same values as lazy SQL ``CASE`` columns for the Spark frame.
 
-Detection takes a coded table only. ``fit_propensity`` and
-``add_ipw_weight`` are the single-attribute DataFrame versions of the fit
-and the join-back, off ``Mesa``'s path.
+``prepare_weights`` is the one path: it builds the feature design once
+(``feature_design``), then per biased attribute ``fit_propensity`` gives
+each feature cell's weight and ``add_ipw_weight`` gathers the cell weights
+onto the table's rows.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.contingency import VAL_COL, CodedTable, scan_counts
@@ -48,10 +49,6 @@ WEIGHT_PREFIX = "__w__"
 
 def weight_col_name(attr: str) -> str:
     return WEIGHT_PREFIX + attr
-
-
-def selection_indicator(df: DataFrame, attr: str, out: str) -> DataFrame:
-    return df.withColumn(out, F.col(attr).isNotNull().cast("int"))
 
 
 def detect_selection_bias(
@@ -95,80 +92,6 @@ def _irls_logistic(
             break
         beta = beta_new
     return beta
-
-
-@dataclass
-class PropensityModel:
-    """Fitted P(R=1|X) over categorical features, as a lookup frame."""
-
-    features: list[str]
-    table: pd.DataFrame  # features + 'p_hat'
-    marginal: float  # P(R=1)
-
-    def weight_frame(self) -> pd.DataFrame:
-        """Feature combinations with their IPW weight P(R=1)/P(R=1|X)."""
-        out = self.table.copy()
-        out["w"] = self.marginal / out["p_hat"]
-        return out[self.features + ["w"]]
-
-
-def fit_propensity(
-    df: DataFrame,
-    attr: str,
-    features: list[str],
-    *,
-    clip: tuple[float, float] = (0.01, 1.0),
-) -> PropensityModel:
-    """Fit P(R_attr=1 | features) by grouped IRLS logistic regression."""
-    r = "__r"
-    with_r = selection_indicator(df, attr, r)
-    grouped = (
-        with_r.groupBy(*[F.col(f).cast("string").alias(f) for f in features])
-        .agg(
-            F.sum(r).cast("double").alias("__obs"),
-            F.count(F.lit(1)).cast("double").alias("__tot"),
-        )
-        .toPandas()
-    )
-    grouped = grouped.dropna(subset=features)
-    # One-hot encode (drop-first per feature; intercept column added).
-    dummies = pd.get_dummies(
-        grouped[features].astype(str), drop_first=True, dtype=float
-    )
-    X = np.column_stack([np.ones(len(grouped)), dummies.to_numpy()])
-    beta = _irls_logistic(
-        X, grouped["__obs"].to_numpy(), grouped["__tot"].to_numpy()
-    )
-    eta = X @ beta
-    p_hat = 1.0 / (1.0 + np.exp(-np.clip(eta, -30, 30)))
-    p_hat = np.clip(p_hat, clip[0], clip[1])
-    table = grouped[features].copy()
-    table["p_hat"] = p_hat
-    marginal = float(grouped["__obs"].sum() / grouped["__tot"].sum())
-    return PropensityModel(features=features, table=table, marginal=marginal)
-
-
-def add_ipw_weight(
-    df: DataFrame, attr: str, model: PropensityModel
-) -> tuple[DataFrame, str]:
-    """Attach the IPW weight column for ``attr`` (null on incomplete rows)."""
-    wcol = weight_col_name(attr)
-    spark = df.sparkSession
-    lookup = spark.createDataFrame(model.weight_frame()).withColumnRenamed(
-        "w", wcol
-    )
-    join_conds = [
-        df[f].cast("string") == lookup[f] for f in model.features
-    ]
-    joined = df.join(F.broadcast(lookup), join_conds, "left")
-    for f in model.features:
-        joined = joined.drop(lookup[f])
-    # Weight only meaningful where attr observed; null elsewhere.
-    joined = joined.withColumn(
-        wcol,
-        F.when(F.col(attr).isNotNull(), F.coalesce(F.col(wcol), F.lit(1.0))),
-    )
-    return joined, wcol
 
 
 #: labels of a selection indicator's codes (``R = 0``, ``R = 1``)
@@ -226,13 +149,25 @@ def detect_selection_bias_batch(
     return biased
 
 
-def _feature_cells(
-    table: CodedTable, features: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The rows with every feature observed, grouped by feature cell.
+@dataclass(frozen=True)
+class FeatureDesign:
+    """The grouped propensity design every attribute's fit shares.
 
-    Returns those rows' indices, each one's cell index, and per feature
-    the code of every cell (cells in mixed-radix key order)."""
+    ``rows`` are the table's rows with every feature observed and
+    ``cell_of`` each one's feature cell; per cell, ``cells`` holds the
+    features' labels, ``X`` the one-hot design (drop-first per feature,
+    intercept first) and ``totals`` the row count."""
+
+    rows: np.ndarray
+    cell_of: np.ndarray
+    cells: pd.DataFrame
+    X: np.ndarray
+    totals: np.ndarray
+
+
+def feature_design(table: CodedTable, features: Sequence[str]) -> FeatureDesign:
+    """The grouped design of ``features`` over ``table``'s rows (cells in
+    mixed-radix key order)."""
     keep = np.ones(table.n_rows, dtype=bool)
     for f in features:
         keep &= table.codes[f] >= 0
@@ -242,12 +177,49 @@ def _feature_cells(
     for f, k in zip(features, sizes):
         key *= k
         key += table.codes[f][rows]
-    cells, cell_of = np.unique(key, return_inverse=True)
-    codes = []
+    keys, cell_of = np.unique(key, return_inverse=True)
+    cell_of = cell_of.ravel()
+    n_cells = len(keys)
+    cell_codes = []
     for k in reversed(sizes):
-        cells, c = np.divmod(cells, k)
-        codes.append(c)
-    return rows, cell_of.ravel(), codes[::-1]
+        keys, c = np.divmod(keys, k)
+        cell_codes.append(c)
+    cells = pd.DataFrame(
+        {f: table.labels[f][c] for f, c in zip(features, cell_codes[::-1])}
+    )
+    dummies = pd.get_dummies(cells.astype(str), drop_first=True, dtype=float)
+    X = np.column_stack([np.ones(n_cells), dummies.to_numpy()])
+    totals = np.bincount(cell_of, minlength=n_cells).astype(np.float64)
+    return FeatureDesign(rows, cell_of, cells, X, totals)
+
+
+def fit_propensity(
+    table: CodedTable, attr: str, design: FeatureDesign
+) -> np.ndarray:
+    """Fit P(R_attr=1 | features) by grouped IRLS on ``design`` and return
+    each feature cell's IPW weight P(R=1) / clip(p̂, 0.01, 1)."""
+    observed = table.codes[attr][design.rows] >= 0
+    successes = np.bincount(
+        design.cell_of[observed], minlength=len(design.totals)
+    ).astype(np.float64)
+    beta = _irls_logistic(design.X, successes, design.totals)
+    p_hat = np.clip(
+        1.0 / (1.0 + np.exp(-np.clip(design.X @ beta, -30, 30))), 0.01, 1.0
+    )
+    marginal = successes.sum() / design.totals.sum()
+    return marginal / p_hat
+
+
+def add_ipw_weight(
+    table: CodedTable, attr: str, design: FeatureDesign, cell_w: np.ndarray
+) -> tuple[CodedTable, str]:
+    """Attach ``attr``'s weight column: its feature cell's weight on every
+    row where ``attr`` and the features are observed, 1.0 elsewhere."""
+    observed = table.codes[attr][design.rows] >= 0
+    w = np.ones(table.n_rows)
+    w[design.rows[observed]] = cell_w[design.cell_of[observed]]
+    wcol = weight_col_name(attr)
+    return table.with_weight(wcol, w), wcol
 
 
 def prepare_weights(
@@ -263,10 +235,9 @@ def prepare_weights(
     """Full §3.2 pipeline on the coded table: detect bias per attribute,
     fit propensities, attach weight columns.
 
-    Detection is one scan of the indicator table. The grouped design
-    ((observed, total) per feature cell) is counted once per attribute
-    with ``np.bincount`` over the shared feature cells; each biased
-    attribute gets its own IRLS fit on it.
+    Detection is one scan of the indicator table. The feature design is
+    built once; each biased attribute gets its own ``fit_propensity`` on it
+    and its ``add_ipw_weight``.
 
     Returns ``(table_with_weights, {attr: weight_col}, biased_attrs)``.
     Attributes without missing values or without detected bias get no
@@ -279,31 +250,11 @@ def prepare_weights(
     )
     if not biased:
         return table, {}, set()
-    rows, cell_of, cell_codes = _feature_cells(table, features)
-    n_cells = len(cell_codes[0])
-    design = pd.DataFrame(
-        {f: table.labels[f][c] for f, c in zip(features, cell_codes)}
-    )
-    # One-hot encode (drop-first per feature; intercept column added).
-    dummies = pd.get_dummies(design.astype(str), drop_first=True, dtype=float)
-    X = np.column_stack([np.ones(n_cells), dummies.to_numpy()])
-    totals = np.bincount(cell_of, minlength=n_cells).astype(np.float64)
+    design = feature_design(table, features)
     weights: dict[str, str] = {}
     for a in sorted(biased):
-        observed = table.codes[a][rows] >= 0
-        successes = np.bincount(cell_of[observed], minlength=n_cells).astype(
-            np.float64
-        )
-        beta = _irls_logistic(X, successes, totals)
-        p_hat = np.clip(
-            1.0 / (1.0 + np.exp(-np.clip(X @ beta, -30, 30))), 0.01, 1.0
-        )
-        marginal = successes.sum() / totals.sum()
-        w = np.ones(table.n_rows)
-        w[rows[observed]] = (marginal / p_hat)[cell_of[observed]]
-        wcol = weight_col_name(a)
-        table = table.with_weight(wcol, w)
-        weights[a] = wcol
+        cell_w = fit_propensity(table, a, design)
+        table, weights[a] = add_ipw_weight(table, a, design, cell_w)
     return table, weights, biased
 
 
@@ -318,20 +269,20 @@ def weight_exprs(
     the attribute is observed, 1.0 where a feature is null, and null where
     the attribute is null.
     """
-    rows, cell_of, cell_codes = _feature_cells(table, features)
+    design = feature_design(table, features)
     conds = [
         " AND ".join(
-            f"CAST({sql_ident(f)} AS STRING) = {_sql_str(table.labels[f][codes[i]])}"
-            for f, codes in zip(features, cell_codes)
+            f"CAST({sql_ident(f)} AS STRING) = {_sql_str(v)}"
+            for f, v in zip(features, cell)
         )
-        for i in range(len(cell_codes[0]))
+        for cell in design.cells.itertuples(index=False, name=None)
     ]
     out: dict[str, Column] = {}
     for a, wcol in weights.items():
-        observed = table.codes[a][rows] >= 0
+        observed = table.codes[a][design.rows] >= 0
         # Every row of a cell carries the cell's weight: keep any one.
         cell_w = np.full(len(conds), np.nan)
-        cell_w[cell_of[observed]] = table.weights[wcol][rows[observed]]
+        cell_w[design.cell_of[observed]] = table.weights[wcol][design.rows[observed]]
         whens = "".join(
             f" WHEN {conds[i]} THEN {sql_double(float(cell_w[i]))}"
             for i in np.flatnonzero(~np.isnan(cell_w))

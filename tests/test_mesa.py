@@ -1,11 +1,12 @@
 """End-to-end MESA pipeline on the synthetic SO dataset."""
 import dataclasses
+import uuid
 
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.mesa import EmptyContextError, Mesa, MesaConfig, display_name
-from repro.core.query import BIN_SUFFIX
+from repro.core.query import BIN_SUFFIX, AggQuery
 from repro.datasets.covid import make_covid
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
@@ -171,6 +172,67 @@ class TestDegenerateInput:
         df = covid.df.withColumn("Empty", F.lit(None).cast("double"))
         res = Mesa(spark).explain(df, q, covid.kg, covid.extraction_cols)
         assert res.offline_report.dropped["Empty"] == "missing"
+
+
+class TestInputChecks:
+    def test_all_null_extraction_column_extracts_nothing(self, spark, covid):
+        q = get_query("Covid-19", "Q1").query
+        df = covid.df.withColumn("Country", F.lit(None).cast("string"))
+        res = Mesa(spark).explain(df, q, covid.kg, covid.extraction_cols)
+        assert "Country" in covid.extraction_cols
+        assert res.extracted_attrs
+        assert not [a for a in res.extracted_attrs if a.startswith("Country__")]
+        assert res.result.base_cmi == res.result.final_cmi == 0.0
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_bins_below_two_raise_before_any_job(self, spark, covid, bins):
+        q = get_query("Covid-19", "Q1").query
+        sc = spark.sparkContext
+        group = f"bins-check-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, "MesaConfig.bins check")
+        try:
+            with pytest.raises(ValueError, match="bins"):
+                Mesa(spark, MesaConfig(bins=bins)).explain(
+                    covid.df, q, covid.kg, covid.extraction_cols
+                )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+    def test_double_extraction_column_links_on_spark_spelling(self, spark):
+        """A double extraction column links on Spark's ``CAST(x AS
+        STRING)`` (``1.0E7``, not Python's ``10000000.0``), the key the
+        prepared frame joins on, so every row carries its entity's
+        attribute."""
+        spelled = {1e7: "1.0E7", 2e7: "2.0E7", 1e-4: "1.0E-4", 2.5: "2.5",
+                   4.5: "4.5", 3e7: "3.0E7"}
+        kg = KnowledgeGraph()
+        grade = {}
+        for i, name in enumerate(spelled.values()):
+            kg.add_entity(f"E{i}", name)
+            kg.add_literal(f"E{i}", "grade", ["lo", "hi"][i % 2])
+            grade[name] = ["lo", "hi"][i % 2]
+        codes = list(spelled)
+        rows = [
+            (["a", "b"][i % 2], float(i % 7), codes[i % len(codes)])
+            for i in range(480)  # 8 bins: ``code``'s 6 values pass through
+        ]
+        df = spark.createDataFrame(rows, "t string, o double, code double")
+        prep = Mesa(spark).prepare(df, AggQuery(t="t", o="o"), kg, ["code"])
+        try:
+            table = prep.table
+            assert "grade" in table.codes
+            got = table.labels["grade"][table.codes["grade"]]
+            want = [grade[v] for v in table.labels["code"][table.codes["code"]]]
+            assert (table.codes["grade"] >= 0).all()
+            assert got.tolist() == want
+            frame = prep.df.select(
+                F.col("code").cast("string").alias("code"), "grade"
+            ).collect()
+            assert [r["grade"] for r in frame] == [grade[r["code"]] for r in frame]
+        finally:
+            prep.df.unpersist()
 
 
 class TestCandidateCounts:

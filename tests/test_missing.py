@@ -12,6 +12,7 @@ from repro.missing.ipw import (
     add_ipw_weight,
     detect_selection_bias,
     detect_selection_bias_batch,
+    feature_design,
     fit_propensity,
     prepare_weights,
     weight_col_name,
@@ -135,6 +136,14 @@ class TestDetection:
         )
 
 
+def _cell_weights(df, attr, feature):
+    """``attr``'s coded table, the design over ``feature``, and the fitted
+    IPW weight per feature cell."""
+    table = CodedTable.collect(df, [feature, attr])
+    design = feature_design(table, [feature])
+    return table, design, fit_propensity(table, attr, design)
+
+
 class TestPropensity:
     def test_fit_recovers_group_rates(self, base):
         # e observed 90% for t=a, 40% otherwise.
@@ -146,8 +155,10 @@ class TestPropensity:
                 F.col("e"),
             ),
         )
-        model = fit_propensity(df, "e", ["t"])
-        rates = dict(zip(model.table["t"], model.table["p_hat"]))
+        table, design, cell_w = _cell_weights(df, "e", "t")
+        # A cell's weight is P(R=1) / p̂: recover p̂ from it.
+        marginal = np.mean(table.codes["e"][design.rows] >= 0)
+        rates = dict(zip(design.cells["t"], marginal / cell_w))
         assert rates["a"] == pytest.approx(0.9, abs=0.05)
         assert rates["b"] == pytest.approx(0.4, abs=0.06)
 
@@ -160,21 +171,20 @@ class TestPropensity:
                 F.col("e"),
             ),
         )
-        model = fit_propensity(df, "e", ["t"])
-        wf = model.weight_frame().set_index("t")["w"]
+        _, design, cell_w = _cell_weights(df, "e", "t")
+        wf = dict(zip(design.cells["t"], cell_w))
         # Rarely-observed groups get larger weights.
         assert wf["b"] > wf["a"]
 
     def test_add_weight_column(self, base):
         df = base.withColumn("e", F.when(F.col("t") != "a", F.col("e")))
-        model = fit_propensity(df, "e", ["t"])
-        out, wcol = add_ipw_weight(df, "e", model)
+        table, design, cell_w = _cell_weights(df, "e", "t")
+        out, wcol = add_ipw_weight(table, "e", design, cell_w)
         assert wcol == weight_col_name("e")
-        # Null weight exactly where e is null.
-        n_mismatch = out.where(
-            F.col("e").isNull() != F.col(wcol).isNull()
-        ).count()
-        assert n_mismatch == 0
+        # Rows where e is null keep weight 1, the coded table's null weight.
+        missing = out.codes["e"] < 0
+        assert missing.any()
+        assert np.all(out.weights[wcol][missing] == 1.0)
 
 
 class TestIPWCorrection:
@@ -200,9 +210,9 @@ class TestIPWCorrection:
         cc_u = float(cc.set_index("e")["cnt"]["u"] / cc["cnt"].sum())
         assert abs(cc_u - true_u) > 0.08
         # IPW-weighted estimate is (approximately) unbiased:
-        model = fit_propensity(df, "e", ["x"])
-        weighted, wcol = add_ipw_weight(df, "e", model)
-        wc = joint_counts(CodedTable.collect(weighted, ["e"], [wcol]), ["e"], wcol)
+        table, design, cell_w = _cell_weights(df, "e", "x")
+        weighted, wcol = add_ipw_weight(table, "e", design, cell_w)
+        wc = joint_counts(weighted, ["e"], wcol)
         w_u = float(wc.set_index("e")["cnt"]["u"] / wc["cnt"].sum())
         assert abs(w_u - true_u) < 0.03
 

@@ -7,11 +7,11 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.contingency import bin_codes
 from repro.core.query import (
     AggQuery,
     apply_context,
     bin_numeric,
+    bin_sql,
     ensure_binned,
     is_numeric,
     quantile_edges,
@@ -101,9 +101,20 @@ class TestAggQuery:
         )
 
 
+def _distinct(df, cols):
+    """Each column's exact distinct count (null excluded), as ``Mesa``
+    passes it to ``ensure_binned``."""
+    row = df.agg(*[F.countDistinct(c) for c in cols]).collect()[0]
+    return dict(zip(cols, row))
+
+
+def _ensure_binned(df, cols, bins):
+    return ensure_binned(df, cols, bins=bins, distinct=_distinct(df, cols))
+
+
 class TestBinning:
     def test_bin_count_and_balance(self, li):
-        binned = bin_numeric(li, "l_extendedprice", bins=8)
+        binned = _ensure_binned(li, ["l_extendedprice"], 8).df
         sizes = (
             binned.groupBy("l_extendedprice__b").count().toPandas()["count"]
         )
@@ -112,7 +123,7 @@ class TestBinning:
         assert sizes.max() < 2 * li.count() / 8
 
     def test_bins_are_ordered_by_value(self, li):
-        binned = bin_numeric(li, "l_extendedprice", bins=4)
+        binned = _ensure_binned(li, ["l_extendedprice"], 4).df
         agg = (
             binned.groupBy("l_extendedprice__b")
             .agg(F.max("l_extendedprice").alias("mx"), F.min("l_extendedprice").alias("mn"))
@@ -125,12 +136,14 @@ class TestBinning:
         df = spark.createDataFrame(
             pd.DataFrame({"x": [1.0, 2.0, None, 4.0, 5.0, 6.0, 7.0, 8.0]})
         )
-        binned = bin_numeric(df, "x", bins=2)
+        binned = _ensure_binned(df, ["x"], 2).df
         assert binned.where(F.col("x").isNull()).select("x__b").collect()[0][0] is None
 
     def test_quantile_edges_dedup(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"x": [1.0] * 99 + [2.0]}))
-        edges = quantile_edges(df, "x", 8)
+        probs = ", ".join(str(i / 8) for i in range(1, 8))
+        [qs] = df.selectExpr(f"percentile_approx(x, array({probs}), 1000)").first()
+        edges = quantile_edges(qs)
         assert edges == sorted(set(edges))
 
     def test_is_numeric(self, li):
@@ -138,26 +151,26 @@ class TestBinning:
         assert not is_numeric(li, "l_returnflag")
 
     def test_ensure_binned_passthrough_categorical(self, li):
-        b = ensure_binned(li, ["l_returnflag", "l_extendedprice"], bins=4)
+        b = _ensure_binned(li, ["l_returnflag", "l_extendedprice"], 4)
         assert b.mapping["l_returnflag"] == "l_returnflag"
         assert b.mapping["l_extendedprice"] == "l_extendedprice__b"
         assert "l_extendedprice__b" in b.df.columns
 
     def test_ensure_binned_small_domain_numeric_passthrough(self, li):
         # l_linenumber has 7 distinct values <= bins=8: keep as-is.
-        b = ensure_binned(li, ["l_linenumber"], bins=8)
+        b = _ensure_binned(li, ["l_linenumber"], 8)
         assert b.mapping["l_linenumber"] == "l_linenumber"
 
 
 def _bins_of(df, col, bins):
     """``col``'s bin column (mapped name) from ``ensure_binned``, row-aligned
     with ``col`` via an explicit id ordering."""
-    b = ensure_binned(df, [col], bins=bins)
+    b = _ensure_binned(df, [col], bins)
     return b.df.orderBy("id").select(col, b.mapping[col]).toPandas()
 
 
 class TestFusedBinning:
-    """``ensure_binned`` computes all distinct counts and edges in one pass."""
+    """``ensure_binned`` computes all edges in one pass."""
 
     def test_one_job_for_all_columns(self, spark):
         rng = np.random.default_rng(3)
@@ -174,6 +187,7 @@ class TestFusedBinning:
             )
         )
         cols = ["w1", "w2", "w3", "small", "cat"]
+        distinct = _distinct(df, cols)
         sc = spark.sparkContext
         group = f"ensure-binned-{uuid.uuid4().hex}"
         # Adaptive execution submits each shuffle stage as its own job; with
@@ -182,7 +196,7 @@ class TestFusedBinning:
         spark.conf.set("spark.sql.adaptive.enabled", "false")
         sc.setJobGroup(group, "ensure_binned one-pass check")
         try:
-            b = ensure_binned(df, cols, bins=8)
+            b = ensure_binned(df, cols, bins=8, distinct=distinct)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
@@ -202,7 +216,7 @@ class TestFusedBinning:
         df = spark.createDataFrame(
             [(float(i), None) for i in range(50)], "x double, empty double"
         )
-        b = ensure_binned(df, ["x", "empty"], bins=4)
+        b = _ensure_binned(df, ["x", "empty"], 4)
         assert b.mapping == {"x": "x__b", "empty": "empty"}
         assert b.df.select("x__b").distinct().count() == 4
 
@@ -220,14 +234,20 @@ class TestFusedBinning:
     @pytest.mark.parametrize("dtype", ["int", "long", "decimal(12,2)"])
     def test_integral_and_decimal_bin_like_per_column_path(self, spark, dtype):
         # Below the sketch's compression threshold both the fused pass and
-        # the per-column approxQuantile path are exact, so the bins match.
+        # a per-column approxQuantile are exact, so the bins match.
         rng = np.random.default_rng(5)
         raw = rng.integers(-5_000, 5_000, 600).tolist()
         vals = [Decimal(v) / 100 for v in raw] if dtype.startswith("decimal") else raw
         df = spark.createDataFrame(list(enumerate(vals)), f"id long, x {dtype}")
         fused = _bins_of(df, "x", 8)
+        qs = df.where(F.col("x").isNotNull()).approxQuantile(
+            "x", [i / 8 for i in range(1, 8)], 0.001
+        )
         per_column = (
-            bin_numeric(df, "x", bins=8).orderBy("id").select("x__b").toPandas()
+            df.selectExpr("id", f"{bin_sql('x', quantile_edges(qs))} AS x__b")
+            .orderBy("id")
+            .select("x__b")
+            .toPandas()
         )
         assert fused["x__b"].tolist() == per_column["x__b"].tolist()
 
@@ -240,7 +260,7 @@ class TestFusedBinning:
             {"id": np.arange(n), "a": rng.normal(size=n), "b": rng.pareto(2.0, n)}
         )
         df = spark.createDataFrame(pdf).repartition(4)
-        b = ensure_binned(df, ["a", "b"], bins=bins)
+        b = _ensure_binned(df, ["a", "b"], bins)
         out, mapping = b.df, b.mapping
         for c in ("a", "b"):
             # Edges are data values and bins are right-closed, so each
@@ -279,7 +299,7 @@ _BIN_VALUES = {
 
 
 class TestBinSql:
-    """The SQL ``CASE`` bins and the driver's ``bin_codes`` equal
+    """The SQL ``CASE`` bins and the driver's ``bin_numeric`` equal
     ``np.searchsorted(edges, x, "left")``; null and NaN stay null."""
 
     @pytest.mark.parametrize("dtype", list(_BIN_VALUES))
@@ -287,7 +307,7 @@ class TestBinSql:
         vals = _BIN_VALUES[dtype]
         df = spark.createDataFrame(list(enumerate(vals)), f"id long, x {dtype}")
         got = (
-            bin_numeric(df, "x", edges=_EDGES)
+            df.selectExpr("id", f"{bin_sql('x', _EDGES)} AS x__b")
             .orderBy("id")
             .select("x__b")
             .toPandas()["x__b"]
@@ -301,5 +321,5 @@ class TestBinSql:
         ]
         assert [None if pd.isna(g) else int(g) for g in got] == want
         x = np.array([np.nan if v is None else float(v) for v in vals])
-        codes, labels = bin_codes(x, _EDGES)
+        codes, labels = bin_numeric(x, _EDGES)
         assert [None if c < 0 else int(labels[c]) for c in codes] == want
