@@ -1,8 +1,8 @@
 """Micro-benchmarks of the primitives underlying every score: a cold
-``Mesa.prepare`` and candidate binning (Spark), the scan and the joint
-contingency on the coded table, the estimator pass over a scan, one MCIMR
-run and one ``explain_prepared`` (driver only). These isolate the
-per-stage cost that Figs 4–6 sweep."""
+``Mesa.prepare`` (one Spark job), candidate binning (the percentile replay,
+driver only), the scan and the joint contingency on the coded table, the
+estimator pass over a scan, one MCIMR run and one ``explain_prepared``
+(driver only). These isolate the per-stage cost that Figs 4–6 sweep."""
 import contextlib
 import uuid
 
@@ -51,7 +51,8 @@ def pre_binning(spark, scale):
     """``(frame, columns, kwargs)`` that ``Mesa.prepare`` hands to
     ``ensure_binned`` for SO Q1: the integrated, not yet binned frame on its
     uncached lineage (KG broadcast joins included), the outcome and every
-    candidate, and the bin count and known distinct counts."""
+    candidate, and the bin count, the known distinct counts and the raw
+    collect's doubles and partitions that the percentile replay runs over."""
     ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk)
     cq = get_query("SO", "Q1")
     calls = []
@@ -70,10 +71,16 @@ def pre_binning(spark, scale):
 
 
 @pytest.mark.benchmark(group="primitives")
-def bench_ensure_binned(benchmark, pre_binning):
+def bench_ensure_binned(benchmark, spark, pre_binning):
+    """The percentile replay and the bin columns prepare adds: no Spark
+    job."""
     df, cols, kwargs = pre_binning
-    binning = benchmark(ensure_binned, df, cols, **kwargs)
+    with spark_jobs(spark, "bench_ensure_binned") as jobs:
+        binning = benchmark(ensure_binned, df, cols, **kwargs)
+        n_jobs = jobs()
     assert set(binning.mapping) == set(cols)
+    assert binning.edges
+    assert n_jobs == 0
 
 
 @pytest.mark.benchmark(group="primitives")
@@ -93,11 +100,10 @@ def bench_joint_contingency(benchmark, prepared):
 
 @pytest.mark.benchmark(group="primitives")
 def bench_prepare(benchmark, spark, scale):
-    """A cold SO Q1 ``Mesa.prepare``: the raw collect and the percentile
-    pass, plus one broadcast per KG relation in the percentile pass over the
-    joined lineage — 4 Spark jobs with adaptive execution off (it would
-    split stages into jobs of their own). Its own seed keeps the lineage
-    apart from the frames the other benchmarks cache."""
+    """A cold SO Q1 ``Mesa.prepare``: the raw collect, 1 Spark job with
+    adaptive execution off (it would split stages into jobs of their own);
+    the KG relations enter no job. Its own seed keeps the lineage apart from
+    the frames the other benchmarks cache."""
     ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk, seed=1)
     cq = get_query("SO", "Q1")
     mesa = Mesa(spark, MesaConfig(k=scale.k))
@@ -113,7 +119,7 @@ def bench_prepare(benchmark, spark, scale):
         spark.conf.set("spark.sql.adaptive.enabled", aqe)
     prep.df.unpersist()
     assert prep.candidates
-    assert n_jobs == 4
+    assert n_jobs == 1
 
 
 @pytest.mark.benchmark(group="primitives")

@@ -16,32 +16,35 @@
    scan);
 7. responsibility ranking of the selected attributes.
 
-``Mesa.prepare`` (stages 1–5) makes two Spark passes:
+``Mesa.prepare`` (stages 1–5) makes one Spark pass, the **raw collect**:
+one ``toArrow`` of the filtered input projected to the outcome, the
+exposure, every input-table candidate and every extraction column
+(non-native numerics also as doubles), plus each row's
+``spark_partition_id()``. The driver reads off it the row count, the values
+to link, and each column's exact non-null and distinct counts (offline row
+pruning, bin or pass through). An extracted attribute is a function of its
+entity, so its distinct count is its universal relation's.
 
-* the **raw collect**, one ``toArrow`` of the filtered input projected to
-  the outcome, the exposure, every input-table candidate and every
-  extraction column (non-native numerics also as doubles). The driver
-  reads off it the row count, the values to link, and each column's exact
-  non-null and distinct counts (offline row pruning, bin or pass through);
-* the **percentile pass**, one aggregation over the KG-joined lineage: the
-  ``percentile_approx`` edges of the columns with more than ``bins``
-  values, and Spark's string of each value of the extracted numeric
-  attributes that pass through unbinned. An extracted attribute is a
-  function of its entity, so its distinct count is its universal
-  relation's, and no pass counts it.
+The bin edges are Spark's ``percentile_approx`` edges, replayed on the
+driver (``repro.core.quantiles``) over the collected doubles of the input
+columns and, for the extracted attributes, over their entities' values
+gathered per row. The universal relation has one row per value, so the
+broadcast left join keeps the input's rows, partitions and order: the
+replay sees the stream Spark's sketch would see over the joined lineage.
+It must stay bit-exact, since the golden explanations were computed with
+Spark's own edges. The JVM spells the extracted doubles that pass through
+unbinned (``String.valueOf``, which is ``CAST(x AS STRING)``), with no
+Spark job, so the KG relations never enter a job on the prepare path.
 
-The universal relation has one row per value, so the broadcast left join
-keeps the input's rows, partitions and order: the edges are the ones the
-context alone would give, and the raw collect's rows are the joined
-lineage's. Each KG relation adds one broadcast job to the percentile pass;
-with no column needing it, the pass does not run. The coded table is then
-built on the driver: ``query.bin_numeric`` (the driver spelling of
-``bin_sql``) bins each binned input column from its doubles and each
-binned extracted attribute once over its entities' values, and every
-extracted attribute is coded once per entity and gathered per row by the
-row's entity. Selection-bias detection, the propensity fit and stages 6–7
-count on the driver and run no Spark job. ``prep.df`` stays the lazy joined
-lineage with the bin and weight columns; prepare runs no action on it.
+The coded table is then built on the driver: ``query.bin_numeric`` (the
+driver spelling of ``bin_sql``) bins each binned input column from its
+doubles and each binned extracted attribute once over its entities'
+values, and every extracted attribute is coded once per entity and
+gathered per row by the row's entity. Selection-bias detection, the
+propensity fit and stages 6–7 count on the driver and run no Spark job.
+``prep.df`` stays the lazy joined lineage with the bin and weight columns;
+prepare runs no action on it, so its KG broadcast joins run only when a
+reader runs it.
 
 The result carries the explanation plus everything the experiments report:
 explainability scores, pruning/missingness statistics, and stage timings.
@@ -73,8 +76,10 @@ from repro.core.query import (
     Binning,
     apply_context,
     bin_numeric,
+    check_query,
     ensure_binned,
     is_numeric,
+    partition_ids,
     sql_ident,
 )
 from repro.core.responsibility import responsibilities
@@ -146,9 +151,11 @@ class PreparedQuery:
     ``CodedTable.collect`` of ``df`` would give, built without collecting it.
 
     ``df`` is the joined, binned lineage plus the weight columns as SQL
-    ``CASE`` expressions over the outcome bin; they hold the table's exact
-    weights and are null where their attribute is null. ``prepare`` marks
-    ``df`` for caching but runs no action on it: the first action fills the
+    ``CASE`` expressions over the outcome bin; its bin columns are
+    ``bin_sql`` over the edges replayed on the driver, and its weight
+    columns hold the table's exact weights (null where their attribute is
+    null). ``prepare`` marks ``df`` for caching but runs no action on it, so
+    its KG joins run only when a reader runs it: the first action fills the
     cache (the drill-down set-up runs ``prep.df.count()``). ``explain``
     leaves it unmarked."""
 
@@ -162,27 +169,31 @@ class PreparedQuery:
     extracted_attrs: list[str]  # analysis columns that came from the KG
     offline_report: PruneReport
     candidates_initial: int
+    bins: int  # the bin count this context got (``cfg.bins`` at most)
     timings: dict[str, float]
 
 
 def _collect_context(
     ctx: DataFrame, cols: list[str], extraction_cols: list[str]
-) -> tuple[CodedTable, dict[str, np.ndarray], dict[str, list[str]]]:
+) -> tuple[CodedTable, dict[str, np.ndarray], dict[str, list[str]], np.ndarray]:
     """The raw collect: one ``toArrow`` of the context.
 
     Returns ``cols`` and ``extraction_cols`` coded by their labels (as
     ``CodedTable.collect`` would code them), each numeric column of
     ``cols`` as doubles (NaN for null; non-native types are cast in Spark),
-    and per extraction column its sorted labels, the keys to link: Spark's
-    ``CAST(col AS STRING)``, the key ``integrate`` joins on."""
+    per extraction column its sorted labels, the keys to link (Spark's
+    ``CAST(col AS STRING)``, the key ``integrate`` joins on), and each
+    row's ``spark_partition_id()``, which the percentile replay needs."""
     schema = ctx.schema
     coded = list(dict.fromkeys([*cols, *extraction_cols]))
     numeric = [c for c in dict.fromkeys(cols) if is_numeric(ctx, c)]
     cast = [c for c in numeric if not isinstance(schema[c].dataType, NATIVE_TYPES)]
-    tbl = ctx.selectExpr(
+    sel = ctx.selectExpr(
         *[label_sql(schema, c) for c in coded],
         *[f"CAST({sql_ident(c)} AS DOUBLE)" for c in cast],
-    ).toArrow()
+        "spark_partition_id()",
+    )
+    tbl = sel.toArrow()
     raw = CodedTable.from_arrow(tbl, coded)
     # A native column's label column holds its values.
     values = dict(zip(coded, tbl.columns)) | dict(zip(cast, tbl.columns[len(coded) :]))
@@ -192,7 +203,8 @@ def _collect_context(
         for c in numeric
     }
     link_values = {c: sorted(raw.labels[c]) for c in extraction_cols}
-    return raw, doubles, link_values
+    partition = partition_ids(sel, tbl.columns[-1].to_numpy())
+    return raw, doubles, link_values, partition
 
 
 def _row_entities(raw: CodedTable, col: str, ex: Extraction) -> np.ndarray:
@@ -230,11 +242,12 @@ class Mesa:
         extraction_cols: list[str] | None = None,
         exclude: set[str] | None = None,
     ) -> PreparedQuery:
-        """Stages 1–5 in two Spark passes: the raw collect and the
-        percentile pass (see the module docstring); coding and IPW then run
-        on the driver. ``prep.df`` is marked for caching, and the caller
-        owns that cache. Raises ``EmptyContextError`` when the context
-        matches no rows."""
+        """Stages 1–5 in one Spark job, the raw collect; binning (a replay
+        of Spark's percentile sketch), coding and IPW then run on the
+        driver (see the module docstring). ``prep.df`` is marked for
+        caching, and the caller owns that cache. Raises ``QueryError``
+        before any Spark job when the query names a missing column, and
+        ``EmptyContextError`` when the context matches no rows."""
         prep = self._prepare(df, query, kg, extraction_cols, exclude)
         prep.df.cache()
         return prep
@@ -251,6 +264,8 @@ class Mesa:
         cfg = self.cfg
         if cfg.bins < 2:
             raise ValueError(f"MesaConfig.bins must be at least 2, got {cfg.bins}")
+        extraction_cols = list(extraction_cols or []) if kg is not None else []
+        check_query(query, df.columns, extraction_cols)
         timings: dict[str, float] = {}
         exclude = exclude or set()
         t0 = time.perf_counter()
@@ -265,8 +280,7 @@ class Mesa:
             | exclude
         )
         input_cands = [c for c in df.columns if c not in non_cand]
-        extraction_cols = list(extraction_cols or []) if kg is not None else []
-        raw, doubles, link_values = _collect_context(
+        raw, doubles, link_values, partition = _collect_context(
             ctx, [o, t_col, *input_cands], extraction_cols
         )
         n_ctx = raw.n_rows
@@ -331,23 +345,31 @@ class Mesa:
                 offline_report.drop(a, reason)
         timings["offline_prune"] = time.perf_counter() - t0
 
-        # The percentile pass over the joined lineage. An extracted
-        # attribute is a function of its entity, so its distinct count is
-        # its universal relation's. Input columns with at most ``bins``
-        # values pass through with the raw collect's labels and need no
-        # pass at all.
+        # Bin edges on the driver, replaying Spark's percentile sketch over
+        # the raw collect's doubles and, for an extracted attribute, its
+        # entities' values gathered per row: the rows, partitions and order
+        # of the joined lineage. An extracted attribute is a function of its
+        # entity, so its distinct count is its universal relation's. Input
+        # columns with at most ``bins`` values pass through with the raw
+        # collect's labels and are not handed over at all.
         t0 = time.perf_counter()
         distinct = {c: row_counts(raw, c)[1] for c in [o, *input_cands]}
-        distinct.update(
-            (p + a, int(ex.wide[a].nunique()))
-            for _, ex, attrs, p in extractions
-            for a in attrs
-        )
+        values = dict(doubles)
+        row_entity = {col: _row_entities(raw, col, ex) for col, ex, _, _ in extractions}
+        for col, ex, attrs, p in extractions:
+            for a in attrs:
+                distinct[p + a] = int(ex.wide[a].nunique())
+                if ex.wide[a].dtype == np.float64:
+                    values[p + a] = np.append(ex.wide[a].to_numpy(), np.nan)[
+                        row_entity[col]
+                    ]
         binning = ensure_binned(
             ctx,
             [c for c in [o, *input_cands] if distinct[c] > bins] + extracted_cols,
             bins=bins,
             distinct=distinct,
+            values=values,
+            partition=partition,
         )
         ctx = binning.df
         o_bin = binning.mapping.get(o, o)
@@ -370,12 +392,11 @@ class Mesa:
             else:
                 codes[a], labels[a] = raw.codes[c], raw.labels[c]
         for col, ex, attrs, prefix in extractions:
-            row_entity = _row_entities(raw, col, ex)
             for a in attrs:
                 ent_codes, ent_labels = _entity_codes(ex.wide[a], prefix + a, binning)
                 c = binning.mapping[prefix + a]
                 codes[c], labels[c] = first_seen(
-                    np.append(ent_codes, -1)[row_entity], ent_labels
+                    np.append(ent_codes, -1)[row_entity[col]], ent_labels
                 )
         table = CodedTable(codes, labels, {}, n_ctx)
         timings["coding"] = time.perf_counter() - t0
@@ -413,6 +434,7 @@ class Mesa:
             extracted_attrs=extracted_analysis,
             offline_report=offline_report,
             candidates_initial=candidates_initial,
+            bins=bins,
             timings=timings,
         )
 

@@ -3,8 +3,9 @@
 The paper's query class is ``SELECT T, agg(O) FROM D WHERE C GROUP BY T``,
 with optional joins folded into ``D`` and multiple grouping attributes
 handled by a synthesized composite exposure column. ``AggQuery`` captures
-that shape; execution is plain Spark SQL (checked against DuckDB by the
-tests via ``repro.oracle.assert_equivalent``).
+that shape; ``check_query`` rejects one that names a missing column with a
+``QueryError``, before any Spark job; execution is plain Spark SQL (checked
+against DuckDB by the tests via ``repro.oracle.assert_equivalent``).
 
 Numeric attributes are analyzed *binned* (the paper assumes binned
 numerics). This module owns the bin rule, in two spellings that must
@@ -14,10 +15,11 @@ expression to build, not one Column call per edge), and ``bin_numeric``,
 the same rule over a numpy array on the driver (``np.searchsorted``).
 ``ensure_binned`` decides what to bin: given the caller's exact distinct
 counts, categorical and small-domain columns pass through untouched and
-every wider numeric column gets ``quantile_edges`` from one fused
-``percentile_approx`` aggregation (which also fetches Spark's labels of
-the non-native numeric columns that pass through) and a ``__b`` sibling,
-all added in one ``withColumns``. ``Mesa.prepare`` codes its table with
+every wider numeric column gets ``quantile_edges`` of Spark's
+``percentile_approx``, replayed on the driver over the caller's collected
+doubles and partitions (``repro.core.quantiles``), and a ``__b`` sibling,
+all added in one ``withColumns``. The JVM spells the doubles that pass
+through. It runs no Spark job. ``Mesa.prepare`` codes its table with
 ``bin_numeric`` over those edges.
 
 Expressions are built as SQL strings throughout: each ``pyspark.sql.
@@ -34,6 +36,8 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+
+from repro.core.quantiles import percentile_approx
 
 #: suffix appended to a column name by ``ensure_binned``
 BIN_SUFFIX = "__b"
@@ -87,6 +91,32 @@ class AggQuery:
         return {a for a, _ in self.context}
 
 
+class QueryError(ValueError):
+    """A query that names a column the input lacks, or names one twice."""
+
+
+def check_query(
+    query: AggQuery, columns: Sequence[str], extraction_cols: Sequence[str]
+) -> None:
+    """Raise ``QueryError`` naming the field when ``query`` or the
+    extraction columns name a column not in ``columns``, when the outcome
+    is an exposure column, or when an extraction column repeats. Runs no
+    Spark job."""
+    have = set(columns)
+    named = [("exposure", c) for c in query.t_cols]
+    named += [("outcome", query.o)]
+    named += [("context", a) for a, _ in query.context]
+    named += [("extraction", c) for c in extraction_cols]
+    for field_name, c in named:
+        if c not in have:
+            raise QueryError(f"{field_name} column {c!r} is not in the input")
+    if query.o in query.t_cols:
+        raise QueryError(f"outcome column {query.o!r} is also the exposure")
+    repeated = sorted({c for c in extraction_cols if extraction_cols.count(c) > 1})
+    if repeated:
+        raise QueryError(f"extraction column {repeated[0]!r} is given twice")
+
+
 def apply_context(df: DataFrame, query: AggQuery) -> DataFrame:
     """Filter to the query context and materialize the composite exposure
     column when the query has multiple grouping attributes."""
@@ -121,6 +151,25 @@ def sql_ident(col: str) -> str:
 def sql_double(x: float) -> str:
     """A Spark SQL double equal to ``x`` bit for bit (``repr`` round-trips)."""
     return f"CAST('{x!r}' AS DOUBLE)"
+
+
+def partition_ids(sel: DataFrame, collected: np.ndarray) -> np.ndarray:
+    """Each row's Spark partition, from a collect of ``sel`` whose
+    ``spark_partition_id()`` column is ``collected``.
+
+    The optimizer evaluates a projection of a local relation on the driver,
+    where ``spark_partition_id()`` reads 0; a job over those rows scans them
+    in ``LocalTableScan``'s slices: ``min(rows, leafNodeDefaultParallelism)``
+    contiguous ranges, as ``parallelize`` cuts them. Those are returned
+    instead."""
+    plan = sel._jdf.queryExecution().optimizedPlan()
+    if plan.getClass().getSimpleName() != "LocalRelation" or not len(collected):
+        return collected
+    conf = sel.sparkSession.conf.get("spark.sql.leafNodeDefaultParallelism", None)
+    n = len(collected)
+    k = min(n, int(conf) if conf else sel.sparkSession.sparkContext.defaultParallelism)
+    starts = np.arange(k, dtype=np.int64) * n // k
+    return np.searchsorted(starts, np.arange(n), side="right") - 1
 
 
 #: ``percentile_approx`` accuracy matching ``approxQuantile``'s
@@ -174,14 +223,14 @@ class Binning:
     ``df`` is the input frame plus one ``bin_sql`` column per binned
     column; ``mapping`` maps each column to its analysis column (``col__b``
     when binned, else ``col``); ``edges`` holds the binned columns' interior
-    edges; ``labels`` maps each value of a non-native numeric column passed
-    through to Spark's ``CAST(x AS STRING)`` of it (Python cannot spell a
-    double the way the JVM does, e.g. ``1.0E7``)."""
+    edges; ``labels`` maps each value of a double column passed through to
+    Spark's ``CAST(x AS STRING)`` of it (Python cannot spell a double the
+    way the JVM does, e.g. ``1.0E7``)."""
 
     df: DataFrame
     mapping: dict[str, str]
     edges: dict[str, list[float]]
-    labels: dict[str, dict[object, str]]
+    labels: dict[str, dict[float, str]]
 
 
 def ensure_binned(
@@ -190,45 +239,43 @@ def ensure_binned(
     *,
     bins: int = 8,
     distinct: Mapping[str, int],
+    values: Mapping[str, np.ndarray],
+    partition: np.ndarray,
 ) -> Binning:
     """Bin every numeric column in ``cols``; pass categoricals through.
 
     ``distinct`` holds the exact distinct count of every numeric column in
-    ``cols``. Those with at most ``bins`` values are treated as categorical
-    codes and passed through. One aggregation computes the
-    ``percentile_approx`` edges of the others (``quantile_edges`` of each
-    column's percentiles; NaN is excluded like null) and the labels of the
-    non-native numeric columns that pass through. With no such column it
-    runs no Spark job.
+    ``cols``, ``values`` its doubles (NaN for null) in the row order of a
+    collect of ``df``, and ``partition`` each collected row's Spark
+    partition (``partition_ids``). Columns with at most ``bins`` values are
+    treated as
+    categorical codes and passed through. The others get the
+    ``quantile_edges`` of Spark's ``percentile_approx`` at accuracy 1000,
+    replayed on the driver (``repro.core.quantiles``; NaN is excluded like
+    null). Each value of a double column passed through is spelled by the
+    JVM's ``String.valueOf``, which is ``CAST(x AS STRING)``. Runs no Spark
+    job.
     """
     schema = df.schema
     numeric = [c for c in cols if is_numeric(df, c)]
     wide = [c for c in numeric if distinct[c] > bins]
+    edges = {
+        c: quantile_edges(
+            percentile_approx(values[c], partition, _probs(bins), _QUANTILE_ACCURACY)
+        )
+        for c in wide
+    }
     spelled = [
         c
         for c in numeric
-        if c not in wide and not isinstance(schema[c].dataType, NATIVE_TYPES)
+        if c not in edges and isinstance(schema[c].dataType, T.DoubleType)
     ]
-    edges: dict[str, list[float]] = {}
-    labels: dict[str, dict[object, str]] = {}
-    if wide or spelled:
-        probs = ", ".join(sql_double(p) for p in _probs(bins))
-        aggs = []
-        for c in wide:
-            x = f"CAST({sql_ident(c)} AS DOUBLE)"
-            aggs.append(
-                f"percentile_approx(CASE WHEN NOT isnan({x}) THEN {x} END, "
-                f"array({probs}), {_QUANTILE_ACCURACY})"
-            )
-        aggs += [
-            f"collect_set(struct({sql_ident(c)}, CAST({sql_ident(c)} AS STRING)))"
-            for c in spelled
-        ]
-        row = df.selectExpr(*aggs).collect()[0]
-        for c, qs in zip(wide, row):
-            edges[c] = quantile_edges(qs)
-        for c, pairs in zip(spelled, row[len(wide):]):
-            labels[c] = {v: s for v, s in pairs}
+    labels: dict[str, dict[float, str]] = {}
+    if spelled:
+        value_of = df.sparkSession.sparkContext._jvm.java.lang.String.valueOf
+        for c in spelled:
+            x = values[c]
+            labels[c] = {v: value_of(v) for v in np.unique(x[~np.isnan(x)]).tolist()}
     mapping = {c: c + BIN_SUFFIX if c in edges else c for c in cols}
     if edges:
         df = df.withColumns(

@@ -15,8 +15,12 @@ Mirrors §3.1 of the paper:
    property or the NED step failed.
 
 The universal relation has one row per *entity*, so it is built in pandas
-and shipped to Spark; `integrate` broadcast-joins it onto the (large) input
-table, after which every downstream score is a distributed aggregation.
+(``Extraction.wide``). ``Mesa.prepare`` bins and codes it on the driver,
+once per entity, and gathers it per row by each row's link value; every
+downstream score counts that coded table on the driver. The Spark copy
+(``Extraction.table``) and `integrate`'s broadcast join onto the input
+table serve only the lazy prepared frame ``prep.df``, for the readers that
+run it.
 """
 from __future__ import annotations
 

@@ -32,7 +32,10 @@ from tests.ipw_reference import (
     spark_detection,
 )
 from tests.lineitem import lineitem
-from tests.prepared_reference import assert_table_matches_frame
+from tests.prepared_reference import (
+    assert_bins_match_spark,
+    assert_table_matches_frame,
+)
 
 
 def coded(df, weight_cols=()) -> CodedTable:
@@ -481,13 +484,14 @@ def _adversarial(spark):
 
 
 class TestPrepare:
-    """``Mesa.prepare``: a raw collect and one percentile pass, a coded
-    table equal to the prepared frame's own collect, and IPW weights that
-    equal the frame's weight columns and independent references."""
+    """``Mesa.prepare``: one raw collect, a coded table equal to the
+    prepared frame's own collect and binned at Spark's percentiles, and IPW
+    weights that equal the frame's weight columns and independent
+    references."""
 
-    def test_prepare_runs_four_jobs(self, spark, so_ds):
-        # The raw collect, the percentile pass over the joined lineage, and
-        # one broadcast of each of SO's two KG relations in that pass.
+    def test_prepare_runs_one_job(self, spark, so_ds):
+        # The raw collect. The edges are replayed on the driver, so SO's two
+        # KG relations never enter a Spark job.
         cq = get_query("SO", "Q1")
         prep, jobs = _spark_jobs(
             spark,
@@ -497,17 +501,15 @@ class TestPrepare:
         )
         # No unpersist: the frame's plan equals the cached so_prepared one.
         assert prep.weights
-        assert jobs == 4
+        assert jobs == 1
 
-    def test_prepare_without_kg_runs_a_collect_and_one_aggregation(
-        self, spark, so_ds
-    ):
+    def test_prepare_without_kg_runs_one_job(self, spark, so_ds):
         cq = get_query("SO", "Q1")
         prep, jobs = _spark_jobs(
             spark, lambda: Mesa(spark)._prepare(so_ds.df, cq.query, None, None, None)
         )
         assert prep.o_bin.endswith("__b")  # the outcome needs edges
-        assert jobs == 2
+        assert jobs == 1
 
     def test_prepare_without_edges_runs_one_job(self, spark):
         # Every column is categorical or has at most ``bins`` values (the
@@ -525,6 +527,7 @@ class TestPrepare:
         _, prep, _ = so_prepared
         assert prep.weights
         assert_table_matches_frame(prep)
+        assert_bins_match_spark(prep)
 
     @pytest.mark.parametrize("with_kg", [False, True])
     def test_adversarial_table_matches_frame(self, spark, with_kg):
@@ -543,6 +546,7 @@ class TestPrepare:
                 assert "1.0E7" in prep.table.labels["tier"].tolist()
             assert "1.0E7" in prep.table.labels["five"].tolist()
             assert_table_matches_frame(prep)
+            assert_bins_match_spark(prep)
         finally:
             prep.df.unpersist()
 

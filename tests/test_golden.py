@@ -29,7 +29,10 @@ from repro.datasets.forbes import make_forbes
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 from repro.eval.harness import run_all_methods
-from tests.prepared_reference import assert_table_matches_frame
+from tests.prepared_reference import (
+    assert_bins_match_spark,
+    assert_table_matches_frame,
+)
 
 GOLDEN = Path(__file__).with_name("golden_explanations.json")
 GOLDEN_BASELINES = Path(__file__).with_name("golden_baselines.json")
@@ -131,7 +134,8 @@ def test_baselines_unchanged(spark, datasets, golden_baselines, dataset, qid):
 @pytest.mark.parametrize("dataset,qid", QUERIES)
 def test_prepared_table_matches_frame(spark, datasets, dataset, qid):
     """The coded table of every golden query equals the prepared frame's
-    own collect: the bins, the KG attributes and the weights."""
+    own collect: the bins, the KG attributes and the weights; and the bins
+    are Spark's own ``percentile_approx`` bins."""
     ds = datasets[dataset]
     cq = get_query(dataset, qid)
     prep = Mesa(spark, MesaConfig()).prepare(
@@ -139,6 +143,7 @@ def test_prepared_table_matches_frame(spark, datasets, dataset, qid):
     )
     try:
         assert_table_matches_frame(prep)
+        assert_bins_match_spark(prep)
     finally:
         prep.df.unpersist()
 

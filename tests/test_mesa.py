@@ -6,7 +6,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.mesa import EmptyContextError, Mesa, MesaConfig, display_name
-from repro.core.query import BIN_SUFFIX, AggQuery
+from repro.core.query import BIN_SUFFIX, AggQuery, QueryError
 from repro.datasets.covid import make_covid
 from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
@@ -199,6 +199,39 @@ class TestInputChecks:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
         assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+    @pytest.mark.parametrize(
+        "change,extraction,field",
+        [
+            ({"t": "Nowhere"}, None, "exposure column 'Nowhere'"),
+            ({"o": "Nowhere"}, None, "outcome column 'Nowhere'"),
+            ({"context": (("Nowhere", "x"),)}, None, "context column 'Nowhere'"),
+            ({}, ["Nowhere"], "extraction column 'Nowhere'"),
+            ({"o": "Country"}, None, "outcome column 'Country' is also"),
+            ({}, ["Country", "Country"], "extraction column 'Country' is given twice"),
+        ],
+        ids=[
+            "unknown-exposure", "unknown-outcome", "unknown-context",
+            "unknown-extraction", "outcome-is-exposure", "repeated-extraction",
+        ],
+    )
+    def test_invalid_query_raises_named_error_before_any_job(
+        self, spark, covid, change, extraction, field
+    ):
+        q = dataclasses.replace(get_query("Covid-19", "Q1").query, **change)
+        sc = spark.sparkContext
+        group = f"query-check-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, "query check")
+        try:
+            with pytest.raises(QueryError, match=field):
+                Mesa(spark).explain(
+                    covid.df, q, covid.kg, extraction or covid.extraction_cols
+                )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+        assert issubclass(QueryError, ValueError)
 
     def test_double_extraction_column_links_on_spark_spelling(self, spark):
         """A double extraction column links on Spark's ``CAST(x AS

@@ -4,9 +4,11 @@ from decimal import Decimal
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.quantiles import percentile_approx
 from repro.core.query import (
     AggQuery,
     apply_context,
@@ -14,8 +16,11 @@ from repro.core.query import (
     bin_sql,
     ensure_binned,
     is_numeric,
+    partition_ids,
     quantile_edges,
     run_query,
+    sql_double,
+    sql_ident,
 )
 from repro.oracle import assert_equivalent
 from tests.lineitem import lineitem
@@ -108,8 +113,27 @@ def _distinct(df, cols):
     return dict(zip(cols, row))
 
 
+def _replay_inputs(df, cols):
+    """What ``ensure_binned`` replays the percentile sketch over: each
+    numeric column of ``cols`` as doubles (NaN for null) and each row's
+    partition, from one collect of ``df`` (as ``Mesa``'s raw collect)."""
+    numeric = [c for c in cols if is_numeric(df, c)]
+    sel = df.selectExpr(
+        *[f"CAST({sql_ident(c)} AS DOUBLE)" for c in numeric], "spark_partition_id()"
+    )
+    tbl = sel.toArrow()
+    values = {
+        c: pc.fill_null(a, np.nan).to_numpy(zero_copy_only=False)
+        for c, a in zip(numeric, tbl.columns)
+    }
+    partition = partition_ids(sel, tbl.columns[-1].to_numpy())
+    return {"values": values, "partition": partition}
+
+
 def _ensure_binned(df, cols, bins):
-    return ensure_binned(df, cols, bins=bins, distinct=_distinct(df, cols))
+    return ensure_binned(
+        df, cols, bins=bins, distinct=_distinct(df, cols), **_replay_inputs(df, cols)
+    )
 
 
 class TestBinning:
@@ -170,7 +194,7 @@ def _bins_of(df, col, bins):
 
 
 class TestFusedBinning:
-    """``ensure_binned`` computes all edges in one pass."""
+    """``ensure_binned`` computes all edges from one collect."""
 
     def test_one_job_for_all_columns(self, spark):
         rng = np.random.default_rng(3)
@@ -191,12 +215,14 @@ class TestFusedBinning:
         sc = spark.sparkContext
         group = f"ensure-binned-{uuid.uuid4().hex}"
         # Adaptive execution submits each shuffle stage as its own job; with
-        # it off, one aggregation is exactly one job.
+        # it off, one collect is exactly one job, and the replay runs none.
         aqe = spark.conf.get("spark.sql.adaptive.enabled")
         spark.conf.set("spark.sql.adaptive.enabled", "false")
         sc.setJobGroup(group, "ensure_binned one-pass check")
         try:
-            b = ensure_binned(df, cols, bins=8, distinct=distinct)
+            b = ensure_binned(
+                df, cols, bins=8, distinct=distinct, **_replay_inputs(df, cols)
+            )
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
@@ -233,8 +259,8 @@ class TestFusedBinning:
 
     @pytest.mark.parametrize("dtype", ["int", "long", "decimal(12,2)"])
     def test_integral_and_decimal_bin_like_per_column_path(self, spark, dtype):
-        # Below the sketch's compression threshold both the fused pass and
-        # a per-column approxQuantile are exact, so the bins match.
+        # Below the sketch's compression threshold both the replay and a
+        # per-column approxQuantile are exact, so the bins match.
         rng = np.random.default_rng(5)
         raw = rng.integers(-5_000, 5_000, 600).tolist()
         vals = [Decimal(v) / 100 for v in raw] if dtype.startswith("decimal") else raw
@@ -323,3 +349,114 @@ class TestBinSql:
         x = np.array([np.nan if v is None else float(v) for v in vals])
         codes, labels = bin_numeric(x, _EDGES)
         assert [None if c < 0 else int(labels[c]) for c in codes] == want
+
+
+def _spark_and_replay(df, bins):
+    """Spark's ``percentile_approx`` of ``df.x`` (NaN excluded, as
+    ``ensure_binned`` excludes it) and the driver's replay over one collect
+    of ``x`` with each row's partition."""
+    probs = [i / bins for i in range(1, bins)]
+    arr = ", ".join(sql_double(p) for p in probs)
+    [want] = df.selectExpr(
+        f"percentile_approx(CASE WHEN NOT isnan(x) THEN x END, array({arr}), 1000)"
+    ).first()
+    inputs = _replay_inputs(df, ["x"])
+    got = percentile_approx(inputs["values"]["x"], inputs["partition"], probs, 1000)
+    return want, got
+
+
+def _bits(qs):
+    """The doubles' bit patterns, so that ``-0.0 != 0.0``."""
+    return None if qs is None else np.array(qs, np.float64).view(np.int64).tolist()
+
+
+def _special_values(n, rng):
+    """Normal values with NaN, ±inf, −0.0, 0.0 and null mixed in."""
+    vals = rng.normal(size=n).tolist()
+    specials = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, None]
+    for i, j in enumerate(rng.choice(n, n // 5, replace=False)):
+        vals[j] = specials[i % len(specials)]
+    return vals
+
+
+#: seeded value makers: name -> (n, rng) -> list of floats or None
+_REPLAY_FRAMES = {
+    "normal": lambda n, rng: rng.normal(size=n).tolist(),
+    "heavy_ties": lambda n, rng: rng.integers(0, 6, n).astype(float).tolist(),
+    "pareto": lambda n, rng: rng.pareto(1.5, n).tolist(),
+    "specials": _special_values,
+    "zeros": lambda n, rng: np.where(
+        np.arange(n) % 4 == 0,
+        rng.normal(size=n),
+        np.where(np.arange(n) % 2, 0.0, -0.0),
+    ).tolist(),
+}
+
+
+class TestPercentileReplay:
+    """The driver's replay of ``percentile_approx`` equals Spark's bit for
+    bit. This is what catches a Spark upgrade that changes
+    ``QuantileSummaries``."""
+
+    @pytest.mark.parametrize("kind", list(_REPLAY_FRAMES))
+    @pytest.mark.parametrize(
+        "n,parts,bins", [(5, 7, 3), (3000, 1, 8), (4000, 4, 5), (9000, 7, 6)]
+    )
+    def test_equals_spark(self, spark, kind, n, parts, bins):
+        rng = np.random.default_rng(n + parts)
+        vals = _REPLAY_FRAMES[kind](n, rng)
+        df = spark.sparkContext.parallelize(
+            [(v,) for v in vals], parts
+        ).toDF("x double")
+        want, got = _spark_and_replay(df, bins)
+        assert _bits(got) == _bits(want), (want, got)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_equals_spark_across_the_chunk_boundary(self, spark, parts):
+        # 120k rows: each partition buffers, inserts and compresses more
+        # than one 50,000-value chunk before the partitions merge.
+        df = spark.range(120_000, numPartitions=parts).selectExpr(
+            "CAST(hash(id) AS DOUBLE) / 1e6 AS x"
+        )
+        want, got = _spark_and_replay(df, 7)
+        assert _bits(got) == _bits(want), (want, got)
+
+    @pytest.mark.parametrize("where", [None, "c = 'a'"])
+    def test_equals_spark_on_a_local_relation(self, spark, where):
+        # A small pandas frame is a local relation: the optimizer evaluates
+        # the collect's projection on the driver (spark_partition_id() reads
+        # 0), and ``partition_ids`` recovers the slices a job scans.
+        rng = np.random.default_rng(4)
+        n = 5001
+        df = spark.createDataFrame(
+            pd.DataFrame({"x": rng.normal(size=n), "c": rng.choice(["a", "b"], n)})
+        )
+        want, got = _spark_and_replay(df.where(where) if where else df, 8)
+        assert _bits(got) == _bits(want), (want, got)
+
+    def test_empty_partitions(self, spark):
+        # Values only in partitions 2 and 5 of 7; the others hold nulls.
+        rows = [(float(i % 97) if i // 1000 in (2, 5) else None,) for i in range(7000)]
+        df = spark.sparkContext.parallelize(rows, 7).toDF("x double")
+        want, got = _spark_and_replay(df, 4)
+        assert _bits(got) == _bits(want), (want, got)
+
+    def test_all_null_and_single_value(self, spark):
+        for vals, bins in (([None] * 40, 4), ([2.5] * 40, 4), ([2.5], 3)):
+            df = spark.sparkContext.parallelize([(v,) for v in vals], 4).toDF(
+                "x double"
+            )
+            want, got = _spark_and_replay(df, bins)
+            assert _bits(got) == _bits(want), (vals[:1], want, got)
+
+    def test_jvm_spelling_equals_cast(self, spark):
+        """``ensure_binned`` labels a passed-through double by the JVM's
+        ``String.valueOf``, which equals Spark's cast."""
+        vals = [1e7, 1e-4, 1e23, -0.0, float("inf"), float("-inf"), 2.5]
+        df = spark.createDataFrame([(v,) for v in vals], "x double")
+        want = [r[0] for r in df.selectExpr("CAST(x AS STRING)").collect()]
+        value_of = spark.sparkContext._jvm.java.lang.String.valueOf
+        assert [value_of(v) for v in vals] == want
+        b = _ensure_binned(df, ["x"], 8)
+        assert b.mapping == {"x": "x"}
+        assert b.labels["x"] == {v: s for v, s in zip(vals, want)}
