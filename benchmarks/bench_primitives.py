@@ -48,18 +48,18 @@ def prepared(spark, scale):
 
 @pytest.fixture(scope="module")
 def pre_binning(spark, scale):
-    """``(frame, columns, kwargs)`` that ``Mesa.prepare`` hands to
-    ``ensure_binned`` for SO Q1: the integrated, not yet binned frame on its
-    uncached lineage (KG broadcast joins included), the outcome and every
-    candidate, and the bin count, the known distinct counts and the raw
-    collect's doubles and partitions that the percentile replay runs over."""
+    """``(schema, columns, kwargs)`` that ``Mesa.prepare`` hands to
+    ``ensure_binned`` for SO Q1: the types of the context's columns and of
+    the extracted attributes, the outcome and every candidate, and the bin
+    count, the known distinct counts and the raw collect's doubles and
+    partitions that the percentile replay runs over."""
     ds = make_so(spark, sf=scale.so_sf, n_junk=scale.n_junk)
     cq = get_query("SO", "Q1")
     calls = []
 
-    def record(df, cols, **kwargs):
-        calls.append((df, list(cols), kwargs))
-        return ensure_binned(df, cols, **kwargs)
+    def record(schema, cols, **kwargs):
+        calls.append((schema, list(cols), kwargs))
+        return ensure_binned(schema, cols, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesa_module, "ensure_binned", record)
@@ -72,11 +72,10 @@ def pre_binning(spark, scale):
 
 @pytest.mark.benchmark(group="primitives")
 def bench_ensure_binned(benchmark, spark, pre_binning):
-    """The percentile replay and the bin columns prepare adds: no Spark
-    job."""
-    df, cols, kwargs = pre_binning
+    """The percentile replay: no Spark job."""
+    schema, cols, kwargs = pre_binning
     with spark_jobs(spark, "bench_ensure_binned") as jobs:
-        binning = benchmark(ensure_binned, df, cols, **kwargs)
+        binning = benchmark(ensure_binned, schema, cols, **kwargs)
         n_jobs = jobs()
     assert set(binning.mapping) == set(cols)
     assert binning.edges

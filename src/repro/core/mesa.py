@@ -6,8 +6,8 @@
 2. extract candidate attributes from the knowledge source for every
    extraction column (NED → 1..h-hop properties → universal relation),
    offline-pruning at the entity level before the join;
-3. integrate the universal relation(s) with the input table
-   (broadcast left joins, prefixed per extraction column);
+3. integrate the universal relation(s) with the input table, per row on
+   the driver (prefixed per extraction column);
 4. offline-prune input-table candidates; bin the outcome and the numeric
    candidates; code the analysis columns as a dictionary-coded table;
 5. detect selection bias per extracted attribute and fit IPW weights, on
@@ -42,9 +42,10 @@ doubles and each binned extracted attribute once over its entities'
 values, and every extracted attribute is coded once per entity and
 gathered per row by the row's entity. Selection-bias detection, the
 propensity fit and stages 6–7 count on the driver and run no Spark job.
-``prep.df`` stays the lazy joined lineage with the bin and weight columns;
-prepare runs no action on it, so its KG broadcast joins run only when a
-reader runs it.
+After ``apply_context`` and the raw collect, ``_prepare`` (so a cold
+``explain``) builds no DataFrame: ``prep.df``, the joined lineage with the
+bin and weight columns, is built from what prepare holds on its first
+read, and its KG broadcast joins run only when a reader runs it.
 
 The result carries the explanation plus everything the experiments report:
 explainability scores, pruning/missingness statistics, and stage timings.
@@ -53,12 +54,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.contingency import CodedTable, first_seen, label_sql, scan_counts
 from repro.core.mcimr import ExplanationResult, mcimr
@@ -76,14 +80,22 @@ from repro.core.query import (
     Binning,
     apply_context,
     bin_numeric,
+    bin_sql,
     check_query,
+    double_bits,
     ensure_binned,
     is_numeric,
     partition_ids,
     sql_ident,
 )
 from repro.core.responsibility import responsibilities
-from repro.kg.extract import KEY_COL, Extraction, extract_attributes, integrate
+from repro.kg.extract import (
+    KEY_COL,
+    LIST_AGGS,
+    Extraction,
+    extract_attributes,
+    integrate,
+)
 from repro.kg.graph import KnowledgeGraph
 from repro.missing.ipw import prepare_weights, weight_exprs
 
@@ -141,25 +153,30 @@ class EmptyContextError(ValueError):
     """The query context matches no rows of the input table."""
 
 
+#: per extraction column: the column, its extraction, the attributes kept
+#: and their prefix
+Extracted = tuple[str, Extraction, list[str], str]
+
+
 @dataclass
 class PreparedQuery:
-    """The integrated, binned, weighted frame MESA analyses — exposed so
+    """The integrated, binned, weighted table MESA analyses — exposed so
     baselines and experiments can reuse the identical preparation.
 
     ``table`` holds the analysis columns (outcome bin, exposure, candidates)
     dictionary-coded, plus the IPW weight arrays: cell for cell what
     ``CodedTable.collect`` of ``df`` would give, built without collecting it.
 
-    ``df`` is the joined, binned lineage plus the weight columns as SQL
-    ``CASE`` expressions over the outcome bin; its bin columns are
-    ``bin_sql`` over the edges replayed on the driver, and its weight
-    columns hold the table's exact weights (null where their attribute is
-    null). ``prepare`` marks ``df`` for caching but runs no action on it, so
-    its KG joins run only when a reader runs it: the first action fills the
-    cache (the drill-down set-up runs ``prep.df.count()``). ``explain``
-    leaves it unmarked."""
+    ``df`` is the same table as a Spark lineage, built on its first read
+    from ``context``, ``extractions``, ``edges`` and the weights; every
+    later read returns the same frame. ``prepare`` reads it to mark it for
+    caching but runs no action on it, so its KG joins run only when a
+    reader runs it: the first action fills the cache (the drill-down set-up
+    runs ``prep.df.count()``). ``explain`` never builds it."""
 
-    df: DataFrame
+    context: DataFrame  # the input after ``apply_context``
+    extractions: list[Extracted]
+    edges: dict[str, list[float]]  # ``Binning.edges``
     table: CodedTable
     o_bin: str
     t: str
@@ -171,6 +188,24 @@ class PreparedQuery:
     candidates_initial: int
     bins: int  # the bin count this context got (``cfg.bins`` at most)
     timings: dict[str, float]
+
+    @cached_property
+    def df(self) -> DataFrame:
+        """The context joined to each extraction's kept attributes
+        (``integrate``), plus one ``bin_sql`` column per binned column in
+        one ``withColumns``, plus the weight columns as SQL ``CASE``
+        expressions over the outcome bin (``weight_exprs``: the table's
+        exact weights, null where their attribute is null) in another."""
+        df = self.context
+        for col, ex, attrs, prefix in self.extractions:
+            df, _ = integrate(df, ex, col, prefix=prefix, attrs=attrs)
+        if self.edges:
+            df = df.withColumns(
+                {c + BIN_SUFFIX: F.expr(bin_sql(c, e)) for c, e in self.edges.items()}
+            )
+        if self.weights:
+            df = df.withColumns(weight_exprs(self.table, self.weights, [self.o_bin]))
+        return df
 
 
 def _collect_context(
@@ -219,13 +254,20 @@ def _entity_codes(
     values: pd.Series, col: str, binning: Binning
 ) -> tuple[np.ndarray, np.ndarray]:
     """An extracted attribute coded once per entity (``-1``: null): its bin,
-    or its value labelled as Spark prints it."""
+    or its value labelled as Spark prints it. A double is coded by its bit
+    pattern, so ``-0.0`` and ``0.0`` stay apart as in ``CAST(x AS
+    STRING)``."""
     if col in binning.edges:
         return bin_numeric(values.to_numpy(np.float64), binning.edges[col])
-    ent_codes, uniques = pd.factorize(values)
-    spelled = binning.labels.get(col)
-    labels = [spelled.get(u) if spelled is not None else str(u) for u in uniques]
-    return ent_codes, np.array(labels, dtype=object)
+    if col not in binning.labels:  # a string attribute
+        ent_codes, uniques = pd.factorize(values)
+        return ent_codes, np.array(uniques, dtype=object)
+    x = values.to_numpy(np.float64)
+    seen = ~np.isnan(x)
+    ent_codes = np.full(len(x), -1, dtype=np.int64)
+    ent_codes[seen], uniques = pd.factorize(double_bits(x[seen]))
+    spelled = binning.labels[col]
+    return ent_codes, np.array([spelled[b] for b in uniques.tolist()], dtype=object)
 
 
 class Mesa:
@@ -244,9 +286,10 @@ class Mesa:
     ) -> PreparedQuery:
         """Stages 1–5 in one Spark job, the raw collect; binning (a replay
         of Spark's percentile sketch), coding and IPW then run on the
-        driver (see the module docstring). ``prep.df`` is marked for
-        caching, and the caller owns that cache. Raises ``QueryError``
-        before any Spark job when the query names a missing column, and
+        driver (see the module docstring). ``prep.df`` is then built and
+        marked for caching, and the caller owns that cache. Raises
+        ``QueryError`` before any Spark job when the query names a missing
+        column, ``ValueError`` when a config field is out of range, and
         ``EmptyContextError`` when the context matches no rows."""
         prep = self._prepare(df, query, kg, extraction_cols, exclude)
         prep.df.cache()
@@ -260,10 +303,15 @@ class Mesa:
         extraction_cols: list[str] | None,
         exclude: set[str] | None,
     ) -> PreparedQuery:
-        """``prepare`` without marking ``prep.df`` for caching."""
+        """``prepare`` without building ``prep.df``."""
         cfg = self.cfg
         if cfg.bins < 2:
             raise ValueError(f"MesaConfig.bins must be at least 2, got {cfg.bins}")
+        if cfg.list_agg not in LIST_AGGS:
+            raise ValueError(
+                f"MesaConfig.list_agg must be one of {sorted(LIST_AGGS)}, "
+                f"got {cfg.list_agg!r}"
+            )
         extraction_cols = list(extraction_cols or []) if kg is not None else []
         check_query(query, df.columns, extraction_cols)
         timings: dict[str, float] = {}
@@ -294,9 +342,9 @@ class Mesa:
         bins = min(cfg.bins, max(3, n_ctx // 60))
         timings["context"] = time.perf_counter() - t0
 
-        # Extraction + entity-level offline pruning + integration.
+        # Extraction + entity-level offline pruning.
         t0 = time.perf_counter()
-        extractions: list[tuple[str, Extraction, list[str], str]] = []
+        extractions: list[Extracted] = []
         offline_report = PruneReport()
         n_extracted_raw = 0
         multi = len(extraction_cols) > 1
@@ -304,7 +352,6 @@ class Mesa:
             if not link_values[col]:
                 continue  # no value in the context: nothing to extract
             ex: Extraction = extract_attributes(
-                self.spark,
                 kg,
                 link_values[col],
                 hops=cfg.hops,
@@ -322,7 +369,6 @@ class Mesa:
                 )
                 for a, reason in rep.dropped.items():
                     offline_report.drop(prefix + a, reason)
-            ctx, _ = integrate(ctx, ex, col, prefix=prefix, attrs=attrs)
             extractions.append((col, ex, attrs, prefix))
         extracted_cols = [p + a for _, _, attrs, p in extractions for a in attrs]
         timings["extract"] = time.perf_counter() - t0
@@ -351,27 +397,31 @@ class Mesa:
         # of the joined lineage. An extracted attribute is a function of its
         # entity, so its distinct count is its universal relation's. Input
         # columns with at most ``bins`` values pass through with the raw
-        # collect's labels and are not handed over at all.
+        # collect's labels and are not handed over at all. Column types come
+        # from the context and from the relations' dtypes (double or string).
         t0 = time.perf_counter()
         distinct = {c: row_counts(raw, c)[1] for c in [o, *input_cands]}
         values = dict(doubles)
+        schema = T.StructType(list(ctx.schema.fields))
         row_entity = {col: _row_entities(raw, col, ex) for col, ex, _, _ in extractions}
         for col, ex, attrs, p in extractions:
             for a in attrs:
                 distinct[p + a] = int(ex.wide[a].nunique())
                 if ex.wide[a].dtype == np.float64:
+                    schema.add(p + a, T.DoubleType())
                     values[p + a] = np.append(ex.wide[a].to_numpy(), np.nan)[
                         row_entity[col]
                     ]
+                else:
+                    schema.add(p + a, T.StringType())
         binning = ensure_binned(
-            ctx,
+            schema,
             [c for c in [o, *input_cands] if distinct[c] > bins] + extracted_cols,
             bins=bins,
             distinct=distinct,
             values=values,
             partition=partition,
         )
-        ctx = binning.df
         o_bin = binning.mapping.get(o, o)
         all_cands = input_cands + extracted_cols
         analysis_cols = [binning.mapping.get(c, c) for c in all_cands]
@@ -420,11 +470,11 @@ class Mesa:
                 alpha=cfg.alpha,
                 eps_bits=cfg.eps_bits / 2,
             )
-        if weights:
-            ctx = ctx.withColumns(weight_exprs(table, weights, [o_bin]))
         timings["ipw"] = time.perf_counter() - t0
         return PreparedQuery(
-            df=ctx,
+            context=ctx,
+            extractions=extractions,
+            edges=binning.edges,
             table=table,
             o_bin=o_bin,
             t=t_col,

@@ -13,14 +13,15 @@ agree: ``bin_sql``, one SQL ``CASE`` over the edges with each edge as an
 exact double (so the assignment stays in the optimizer and costs one
 expression to build, not one Column call per edge), and ``bin_numeric``,
 the same rule over a numpy array on the driver (``np.searchsorted``).
-``ensure_binned`` decides what to bin: given the caller's exact distinct
-counts, categorical and small-domain columns pass through untouched and
-every wider numeric column gets ``quantile_edges`` of Spark's
+``ensure_binned`` decides what to bin from column types and the caller's
+exact distinct counts: categorical and small-domain columns pass through
+untouched and every wider numeric column gets ``quantile_edges`` of Spark's
 ``percentile_approx``, replayed on the driver over the caller's collected
-doubles and partitions (``repro.core.quantiles``), and a ``__b`` sibling,
-all added in one ``withColumns``. The JVM spells the doubles that pass
-through. It runs no Spark job. ``Mesa.prepare`` codes its table with
-``bin_numeric`` over those edges.
+doubles and partitions (``repro.core.quantiles``), and a ``__b`` analysis
+column. The JVM spells the doubles that pass through. It builds no
+DataFrame and runs no Spark job. ``Mesa.prepare`` codes its table with
+``bin_numeric`` over those edges; its prepared frame adds the ``bin_sql``
+columns in one ``withColumns`` when a reader first asks for it.
 
 Expressions are built as SQL strings throughout: each ``pyspark.sql.
 functions`` call is a round trip to the JVM, and building ~40 aggregates
@@ -33,7 +34,7 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -216,25 +217,29 @@ def bin_numeric(
     return b, np.array([str(i) for i in range(len(edges) + 1)], dtype=object)
 
 
+def double_bits(x: np.ndarray) -> np.ndarray:
+    """The doubles' bit patterns, which tell ``-0.0`` from ``0.0`` as
+    ``CAST(x AS STRING)`` does."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 @dataclass(frozen=True)
 class Binning:
     """``ensure_binned``'s result.
 
-    ``df`` is the input frame plus one ``bin_sql`` column per binned
-    column; ``mapping`` maps each column to its analysis column (``col__b``
-    when binned, else ``col``); ``edges`` holds the binned columns' interior
-    edges; ``labels`` maps each value of a double column passed through to
-    Spark's ``CAST(x AS STRING)`` of it (Python cannot spell a double the
-    way the JVM does, e.g. ``1.0E7``)."""
+    ``mapping`` maps each column to its analysis column (``col__b`` when
+    binned, else ``col``); ``edges`` holds the binned columns' interior
+    edges; ``labels`` maps the ``double_bits`` of each value of a double
+    column passed through to Spark's ``CAST(x AS STRING)`` of it (Python
+    cannot spell a double the way the JVM does, e.g. ``1.0E7``)."""
 
-    df: DataFrame
     mapping: dict[str, str]
     edges: dict[str, list[float]]
-    labels: dict[str, dict[float, str]]
+    labels: dict[str, dict[int, str]]
 
 
 def ensure_binned(
-    df: DataFrame,
+    schema: T.StructType,
     cols: Sequence[str],
     *,
     bins: int = 8,
@@ -244,20 +249,18 @@ def ensure_binned(
 ) -> Binning:
     """Bin every numeric column in ``cols``; pass categoricals through.
 
-    ``distinct`` holds the exact distinct count of every numeric column in
-    ``cols``, ``values`` its doubles (NaN for null) in the row order of a
-    collect of ``df``, and ``partition`` each collected row's Spark
-    partition (``partition_ids``). Columns with at most ``bins`` values are
-    treated as
-    categorical codes and passed through. The others get the
-    ``quantile_edges`` of Spark's ``percentile_approx`` at accuracy 1000,
-    replayed on the driver (``repro.core.quantiles``; NaN is excluded like
-    null). Each value of a double column passed through is spelled by the
-    JVM's ``String.valueOf``, which is ``CAST(x AS STRING)``. Runs no Spark
-    job.
+    ``schema`` holds the type of every column in ``cols``, ``distinct`` the
+    exact distinct count of every numeric one, ``values`` its doubles (NaN
+    for null) in the row order of a collect of the frame, and ``partition``
+    each collected row's Spark partition (``partition_ids``). Columns with
+    at most ``bins`` values are treated as categorical codes and passed
+    through. The others get the ``quantile_edges`` of Spark's
+    ``percentile_approx`` at accuracy 1000, replayed on the driver
+    (``repro.core.quantiles``; NaN is excluded like null). Each value of a
+    double column passed through is spelled by the JVM's
+    ``String.valueOf``, which is ``CAST(x AS STRING)``. Runs no Spark job.
     """
-    schema = df.schema
-    numeric = [c for c in cols if is_numeric(df, c)]
+    numeric = [c for c in cols if isinstance(schema[c].dataType, _NUMERIC_TYPES)]
     wide = [c for c in numeric if distinct[c] > bins]
     edges = {
         c: quantile_edges(
@@ -270,15 +273,13 @@ def ensure_binned(
         for c in numeric
         if c not in edges and isinstance(schema[c].dataType, T.DoubleType)
     ]
-    labels: dict[str, dict[float, str]] = {}
+    labels: dict[str, dict[int, str]] = {}
     if spelled:
-        value_of = df.sparkSession.sparkContext._jvm.java.lang.String.valueOf
+        value_of = SparkSession.active().sparkContext._jvm.java.lang.String.valueOf
         for c in spelled:
             x = values[c]
-            labels[c] = {v: value_of(v) for v in np.unique(x[~np.isnan(x)]).tolist()}
+            bits = np.unique(double_bits(x[~np.isnan(x)]))
+            spelling = map(value_of, bits.view(np.float64).tolist())
+            labels[c] = dict(zip(bits.tolist(), spelling))
     mapping = {c: c + BIN_SUFFIX if c in edges else c for c in cols}
-    if edges:
-        df = df.withColumns(
-            {c + BIN_SUFFIX: F.expr(bin_sql(c, e)) for c, e in edges.items()}
-        )
-    return Binning(df, mapping, edges, labels)
+    return Binning(mapping, edges, labels)

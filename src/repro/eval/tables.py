@@ -122,7 +122,7 @@ def table1(
                 for r in ds.df.select(col).distinct().collect()
                 if r[col] is not None
             ]
-            ex = extract_attributes(spark, ds.kg, values, hops=1)
+            ex = extract_attributes(ds.kg, values, hops=1)
             n_attrs += len(ex.attrs)
         rows.append(
             {

@@ -15,12 +15,12 @@ Mirrors §3.1 of the paper:
    property or the NED step failed.
 
 The universal relation has one row per *entity*, so it is built in pandas
-(``Extraction.wide``). ``Mesa.prepare`` bins and codes it on the driver,
-once per entity, and gathers it per row by each row's link value; every
-downstream score counts that coded table on the driver. The Spark copy
-(``Extraction.table``) and `integrate`'s broadcast join onto the input
-table serve only the lazy prepared frame ``prep.df``, for the readers that
-run it.
+(``Extraction.wide``) and extraction runs no Spark call. ``Mesa.prepare``
+bins and codes it on the driver, once per entity, and gathers it per row by
+each row's link value; every downstream score counts that coded table on
+the driver. Only ``integrate`` puts it in Spark, as a broadcast relation of
+the kept attributes joined onto the input table, when a reader of the
+prepared frame ``prep.df`` first asks for it.
 """
 from __future__ import annotations
 
@@ -29,17 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+import pyarrow as pa
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.query import sql_ident
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.ned import link_values
 
 #: key column of the universal relation (the raw table value)
 KEY_COL = "__value"
 
-_ONE_TO_MANY_AGGS = {
+#: the functions a one-to-many link's numeric properties aggregate by
+LIST_AGGS = {
     "mean": np.mean,
     "sum": np.sum,
     "max": np.max,
@@ -62,7 +63,7 @@ def _hop_props(
     }
     if hops <= 1:
         return out
-    agg_fn = _ONE_TO_MANY_AGGS[list_agg]
+    agg_fn = LIST_AGGS[list_agg]
     for link, targets in kg.links_of(eid).items():
         if len(targets) == 1:
             # Single-valued link: recurse — "Leader Age" style attributes.
@@ -89,8 +90,8 @@ def _coerce_types(wide: pd.DataFrame) -> pd.DataFrame:
     """Make every attribute column a single Spark-friendly dtype.
 
     Numeric-only columns → float64 (nulls = NaN); anything with a
-    non-numeric value → string (nulls = None); all-null columns → float64
-    so Spark can infer a schema.
+    non-numeric value → string (nulls = None); all-null columns → float64,
+    so each column has one Spark type (``DoubleType`` or ``StringType``).
     """
     for c in wide.columns:
         if c == KEY_COL:
@@ -108,14 +109,12 @@ def _coerce_types(wide: pd.DataFrame) -> pd.DataFrame:
 class Extraction:
     """Result of extracting attributes for one table column."""
 
-    table: DataFrame  # universal relation: KEY_COL + attribute columns
     attrs: list[str]  # sanitized attribute names
     links: dict[str, str | None]  # surface form -> entity id (None = failed)
-    wide: pd.DataFrame  # entity-level pandas copy (for offline pruning)
+    wide: pd.DataFrame  # universal relation: KEY_COL + attribute columns
 
 
 def extract_attributes(
-    spark: SparkSession,
     kg: KnowledgeGraph,
     values: list[str],
     *,
@@ -145,18 +144,7 @@ def extract_attributes(
         renames[c] = s
     wide = wide.rename(columns=renames)
     wide = _coerce_types(wide)
-    attrs = sorted(seen)
-    table = spark.createDataFrame(wide)
-    # pandas NaN arrives in Spark as a double NaN *value*, not SQL null —
-    # which would silently defeat complete-case filtering and binning.
-    nan_to_null = {
-        c: F.expr(f"CASE WHEN isnan({sql_ident(c)}) THEN NULL ELSE {sql_ident(c)} END")
-        for c, dtype in table.dtypes
-        if dtype == "double"
-    }
-    if nan_to_null:
-        table = table.withColumns(nan_to_null)
-    return Extraction(table=table, attrs=attrs, links=links, wide=wide)
+    return Extraction(attrs=sorted(seen), links=links, wide=wide)
 
 
 def integrate(
@@ -172,13 +160,16 @@ def integrate(
     ``attrs`` restricts to a subset (post offline pruning); ``prefix``
     namespaces the columns when several extraction columns are integrated
     ("Origin_City" and "Airline" both have a Population-style attribute).
-    Returns the joined frame and the list of integrated column names.
+    Only those columns of ``extraction.wide`` enter Spark. Returns the
+    joined frame and the list of integrated column names.
     """
     attrs = list(attrs) if attrs is not None else list(extraction.attrs)
     out_names = [prefix + a for a in attrs]
-    right = extraction.table.selectExpr(
-        sql_ident(KEY_COL),
-        *[f"{sql_ident(a)} AS {sql_ident(prefix + a)}" for a in attrs],
+    wide = extraction.wide[[KEY_COL, *attrs]].set_axis([KEY_COL, *out_names], axis=1)
+    # Arrow's pandas conversion turns NaN into null: a NaN *value* in Spark
+    # would silently defeat complete-case filtering and binning.
+    right = df.sparkSession.createDataFrame(
+        pa.Table.from_pandas(wide, preserve_index=False)
     )
     joined = df.join(
         F.broadcast(right),

@@ -550,6 +550,28 @@ class TestPrepare:
         finally:
             prep.df.unpersist()
 
+    def test_signed_zero_attribute_table_matches_frame(self, spark):
+        """An extracted double passed through with both −0.0 and 0.0 keeps
+        them apart, as Spark's ``CAST(x AS STRING)`` in the frame does."""
+        cities = [f"c{i}" for i in range(6)]
+        kg = KnowledgeGraph()
+        for i, c in enumerate(cities):
+            kg.add_entity(f"E{i}", c)
+            kg.add_literal(f"E{i}", "z", [-0.0, 0.0, 1.5][i % 3])
+        rng = np.random.default_rng(13)
+        rows = [
+            (str(rng.choice(["a", "b"])), float(rng.normal()), cities[i % 6])
+            for i in range(240)
+        ]
+        df = spark.createDataFrame(rows, "t string, o double, city string")
+        prep = Mesa(spark).prepare(df, AggQuery(t="t", o="o"), kg, ["city"])
+        try:
+            assert "z" in prep.candidates
+            assert_table_matches_frame(prep)
+            assert sorted(prep.table.labels["z"].tolist()) == ["-0.0", "0.0", "1.5"]
+        finally:
+            prep.df.unpersist()
+
     def test_frame_weights_equal_table_weights(self, so_prepared):
         _, prep, _ = so_prepared
         o = prep.o_bin

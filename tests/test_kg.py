@@ -111,7 +111,7 @@ class TestSanitize:
 
 class TestExtraction:
     def test_hop1_universal_relation(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["Germany", "France", "Russia"])
+        ex = extract_attributes(kg, ["Germany", "France", "Russia"])
         pdf = ex.wide.set_index(KEY_COL)
         assert pdf.loc["Germany", "HDI"] == pytest.approx(0.95)
         assert pdf.loc["France", "Currency"] == "Euro"
@@ -119,44 +119,54 @@ class TestExtraction:
         assert "HDI" in ex.attrs and "Currency" in ex.attrs
 
     def test_failed_link_gives_all_null_row(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["Germany", "Russian Federation"])
+        ex = extract_attributes(kg, ["Germany", "Russian Federation"])
         row = ex.wide.set_index(KEY_COL).loc["Russian Federation"]
         assert row.isna().all()
         assert ex.links["Russian Federation"] is None
 
     def test_hop1_excludes_link_targets(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["Germany"], hops=1)
+        ex = extract_attributes(kg, ["Germany"], hops=1)
         assert not any(a.startswith("Leader") for a in ex.attrs)
 
     def test_hop2_single_valued_link(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["Germany"], hops=2)
+        ex = extract_attributes(kg, ["Germany"], hops=2)
         pdf = ex.wide.set_index(KEY_COL)
         assert pdf.loc["Germany", "Leader__Age"] == pytest.approx(65.0)
         assert pdf.loc["Germany", "Leader__Gender"] == "F"
 
     def test_hop2_one_to_many_mean(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["France"], hops=2)
+        ex = extract_attributes(kg, ["France"], hops=2)
         pdf = ex.wide.set_index(KEY_COL)
         assert pdf.loc["France", "mean__Ethnic_Group__Population"] == pytest.approx(
             20.0
         )
 
     def test_hop2_one_to_many_max(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["France"], hops=2, list_agg="max")
+        ex = extract_attributes(kg, ["France"], hops=2, list_agg="max")
         pdf = ex.wide.set_index(KEY_COL)
         assert pdf.loc["France", "max__Ethnic_Group__Population"] == pytest.approx(
             30.0
         )
 
     def test_spark_table_schema(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["Germany", "France"])
-        assert KEY_COL in ex.table.columns
-        assert ex.table.count() == 2
+        ex = extract_attributes(kg, ["Germany", "France"])
+        assert KEY_COL in ex.wide.columns
+        joined, cols = integrate(_countries(spark, ["Germany", "France"]), ex, "country")
+        assert joined.columns == ["country", *cols]  # the key is dropped
+        assert joined.count() == 2
 
     def test_numeric_columns_are_double(self, spark, kg):
-        ex = extract_attributes(spark, kg, ["Germany", "France"])
-        assert dict(ex.table.dtypes)["HDI"] == "double"
-        assert dict(ex.table.dtypes)["Currency"] == "string"
+        ex = extract_attributes(kg, ["Germany", "France"])
+        joined, _ = integrate(_countries(spark, ["Germany", "France"]), ex, "country")
+        assert dict(joined.dtypes)["HDI"] == "double"
+        assert dict(joined.dtypes)["Currency"] == "string"
+        # France has no Gini: NaN in the relation, null (not NaN) in Spark.
+        gini = dict(joined.selectExpr("country", "Gini").collect())
+        assert gini["France"] is None and gini["Germany"] == pytest.approx(31.9)
+
+
+def _countries(spark, names):
+    return spark.createDataFrame([(n,) for n in names], "country string")
 
 
 class TestIntegrate:
@@ -169,7 +179,7 @@ class TestIntegrate:
                 }
             )
         )
-        ex = extract_attributes(spark, kg, ["Germany", "France", "Atlantis"])
+        ex = extract_attributes(kg, ["Germany", "France", "Atlantis"])
         joined, cols = integrate(df, ex, "country")
         assert joined.count() == 4  # left join keeps all rows
         got = {
@@ -184,7 +194,7 @@ class TestIntegrate:
         df = spark.createDataFrame(
             pd.DataFrame({"country": ["Germany"], "x": [1.0]})
         )
-        ex = extract_attributes(spark, kg, ["Germany"])
+        ex = extract_attributes(kg, ["Germany"])
         joined, cols = integrate(df, ex, "country", prefix="c_", attrs=["HDI"])
         assert cols == ["c_HDI"]
         assert joined.columns == ["country", "x", "c_HDI"]

@@ -12,6 +12,7 @@ from repro.datasets.queries import get_query
 from repro.datasets.so import make_so
 from repro.eval.scoring import class_of
 from repro.kg.graph import KnowledgeGraph
+from tests.prepared_reference import assert_bins_match_spark, assert_table_matches_frame
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,22 @@ class TestInputChecks:
         assert sc.statusTracker().getJobIdsForGroup(group) == []
         assert issubclass(QueryError, ValueError)
 
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_unknown_list_agg_raises_before_any_job(self, spark, covid, hops):
+        q = get_query("Covid-19", "Q1").query
+        sc = spark.sparkContext
+        group = f"list-agg-check-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, "MesaConfig.list_agg check")
+        try:
+            with pytest.raises(ValueError, match="list_agg"):
+                Mesa(spark, MesaConfig(hops=hops, list_agg="median")).explain(
+                    covid.df, q, covid.kg, covid.extraction_cols
+                )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+
     def test_double_extraction_column_links_on_spark_spelling(self, spark):
         """A double extraction column links on Spark's ``CAST(x AS
         STRING)`` (``1.0E7``, not Python's ``10000000.0``), the key the
@@ -294,5 +311,34 @@ class TestPreparedFrameCache:
             prep.df.count()
             Mesa(spark).explain(*args)
             assert prep.df.storageLevel != StorageLevel.NONE
+        finally:
+            prep.df.unpersist()
+
+
+class TestLazyFrame:
+    def test_cold_explain_builds_no_frame(self, spark, so):
+        """A cold explain creates no DataFrame after the context and the raw
+        collect; the frame a ``_prepare`` builds later on its first read is
+        still the prepared table, and ``prepare`` caches that one frame."""
+        cq = get_query("SO", "Q1")
+        args = (so.df, cq.query, so.kg, so.extraction_cols)
+
+        def refuse(*_, **__):
+            raise AssertionError("the prepare path built a DataFrame")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(spark), "createDataFrame", refuse)
+            mp.setattr(type(so.df), "join", refuse)
+            mp.setattr(type(so.df), "withColumns", refuse)
+            res = Mesa(spark).explain(*args)
+            prep = Mesa(spark)._prepare(*args, None)
+        assert res.explanation
+        assert prep.weights
+        assert_table_matches_frame(prep)
+        assert_bins_match_spark(prep)
+        prep = Mesa(spark).prepare(*args)
+        try:
+            assert prep.df is prep.df
+            assert prep.df.is_cached
         finally:
             prep.df.unpersist()

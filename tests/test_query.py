@@ -10,6 +10,7 @@ from pyspark.sql import functions as F
 
 from repro.core.quantiles import percentile_approx
 from repro.core.query import (
+    BIN_SUFFIX,
     AggQuery,
     apply_context,
     bin_numeric,
@@ -132,13 +133,25 @@ def _replay_inputs(df, cols):
 
 def _ensure_binned(df, cols, bins):
     return ensure_binned(
-        df, cols, bins=bins, distinct=_distinct(df, cols), **_replay_inputs(df, cols)
+        df.schema,
+        cols,
+        bins=bins,
+        distinct=_distinct(df, cols),
+        **_replay_inputs(df, cols),
+    )
+
+
+def _with_bins(df, b):
+    """``df`` plus ``bin_sql`` over ``b.edges``, the bin columns the
+    prepared frame adds."""
+    return df.withColumns(
+        {c + BIN_SUFFIX: F.expr(bin_sql(c, e)) for c, e in b.edges.items()}
     )
 
 
 class TestBinning:
     def test_bin_count_and_balance(self, li):
-        binned = _ensure_binned(li, ["l_extendedprice"], 8).df
+        binned = _with_bins(li, _ensure_binned(li, ["l_extendedprice"], 8))
         sizes = (
             binned.groupBy("l_extendedprice__b").count().toPandas()["count"]
         )
@@ -147,7 +160,7 @@ class TestBinning:
         assert sizes.max() < 2 * li.count() / 8
 
     def test_bins_are_ordered_by_value(self, li):
-        binned = _ensure_binned(li, ["l_extendedprice"], 4).df
+        binned = _with_bins(li, _ensure_binned(li, ["l_extendedprice"], 4))
         agg = (
             binned.groupBy("l_extendedprice__b")
             .agg(F.max("l_extendedprice").alias("mx"), F.min("l_extendedprice").alias("mn"))
@@ -160,7 +173,7 @@ class TestBinning:
         df = spark.createDataFrame(
             pd.DataFrame({"x": [1.0, 2.0, None, 4.0, 5.0, 6.0, 7.0, 8.0]})
         )
-        binned = _ensure_binned(df, ["x"], 2).df
+        binned = _with_bins(df, _ensure_binned(df, ["x"], 2))
         assert binned.where(F.col("x").isNull()).select("x__b").collect()[0][0] is None
 
     def test_quantile_edges_dedup(self, spark):
@@ -178,7 +191,7 @@ class TestBinning:
         b = _ensure_binned(li, ["l_returnflag", "l_extendedprice"], 4)
         assert b.mapping["l_returnflag"] == "l_returnflag"
         assert b.mapping["l_extendedprice"] == "l_extendedprice__b"
-        assert "l_extendedprice__b" in b.df.columns
+        assert "l_extendedprice__b" in _with_bins(li, b).columns
 
     def test_ensure_binned_small_domain_numeric_passthrough(self, li):
         # l_linenumber has 7 distinct values <= bins=8: keep as-is.
@@ -190,7 +203,7 @@ def _bins_of(df, col, bins):
     """``col``'s bin column (mapped name) from ``ensure_binned``, row-aligned
     with ``col`` via an explicit id ordering."""
     b = _ensure_binned(df, [col], bins)
-    return b.df.orderBy("id").select(col, b.mapping[col]).toPandas()
+    return _with_bins(df, b).orderBy("id").select(col, b.mapping[col]).toPandas()
 
 
 class TestFusedBinning:
@@ -221,7 +234,7 @@ class TestFusedBinning:
         sc.setJobGroup(group, "ensure_binned one-pass check")
         try:
             b = ensure_binned(
-                df, cols, bins=8, distinct=distinct, **_replay_inputs(df, cols)
+                df.schema, cols, bins=8, distinct=distinct, **_replay_inputs(df, cols)
             )
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
@@ -235,8 +248,9 @@ class TestFusedBinning:
             "small": "small",
             "cat": "cat",
         }
-        assert {"w1__b", "w2__b", "w3__b"} <= set(b.df.columns)
-        assert "small__b" not in b.df.columns and "cat__b" not in b.df.columns
+        binned = _with_bins(df, b).columns
+        assert {"w1__b", "w2__b", "w3__b"} <= set(binned)
+        assert "small__b" not in binned and "cat__b" not in binned
 
     def test_all_null_numeric_passes_through(self, spark):
         df = spark.createDataFrame(
@@ -244,7 +258,7 @@ class TestFusedBinning:
         )
         b = _ensure_binned(df, ["x", "empty"], 4)
         assert b.mapping == {"x": "x__b", "empty": "empty"}
-        assert b.df.select("x__b").distinct().count() == 4
+        assert _with_bins(df, b).select("x__b").distinct().count() == 4
 
     def test_nan_excluded_from_edges_and_binned_null(self, spark):
         # 80 finite values and 20 NaN: NaN-free quartiles cut 1..80 into
@@ -287,7 +301,7 @@ class TestFusedBinning:
         )
         df = spark.createDataFrame(pdf).repartition(4)
         b = _ensure_binned(df, ["a", "b"], bins)
-        out, mapping = b.df, b.mapping
+        out, mapping = _with_bins(df, b), b.mapping
         for c in ("a", "b"):
             # Edges are data values and bins are right-closed, so each
             # edge is the largest value of its bin.
@@ -452,11 +466,11 @@ class TestPercentileReplay:
     def test_jvm_spelling_equals_cast(self, spark):
         """``ensure_binned`` labels a passed-through double by the JVM's
         ``String.valueOf``, which equals Spark's cast."""
-        vals = [1e7, 1e-4, 1e23, -0.0, float("inf"), float("-inf"), 2.5]
+        vals = [1e7, 1e-4, 1e23, -0.0, 0.0, float("inf"), float("-inf"), 2.5]
         df = spark.createDataFrame([(v,) for v in vals], "x double")
         want = [r[0] for r in df.selectExpr("CAST(x AS STRING)").collect()]
         value_of = spark.sparkContext._jvm.java.lang.String.valueOf
         assert [value_of(v) for v in vals] == want
         b = _ensure_binned(df, ["x"], 8)
         assert b.mapping == {"x": "x"}
-        assert b.labels["x"] == {v: s for v, s in zip(vals, want)}
+        assert b.labels["x"] == {_bits([v])[0]: s for v, s in zip(vals, want)}
