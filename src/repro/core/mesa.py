@@ -5,7 +5,8 @@
 1. apply the query context;
 2. extract candidate attributes from the knowledge source for every
    extraction column (NED → 1..h-hop properties → universal relation),
-   offline-pruning at the entity level before the join;
+   code each attribute once per entity, and offline-prune at the entity
+   level before the join;
 3. integrate the universal relation(s) with the input table, per row on
    the driver (prefixed per extraction column);
 4. offline-prune input-table candidates; bin the outcome and the numeric
@@ -21,9 +22,14 @@ one ``toArrow`` of the filtered input projected to the outcome, the
 exposure, every input-table candidate and every extraction column
 (non-native numerics also as doubles), plus each row's
 ``spark_partition_id()``. The driver reads off it the row count, the values
-to link, and each column's exact non-null and distinct counts (offline row
-pruning, bin or pass through). An extracted attribute is a function of its
-entity, so its distinct count is its universal relation's.
+to link, and the input columns' codes. Every candidate is coded before
+anything is decided about it: an input column by the raw collect, an
+extracted attribute once per entity of its universal relation
+(``entity_table``; it is a function of its entity). Offline pruning at both
+levels (``pruning.offline_row_decide``) and the bin-or-pass-through
+decision (``ensure_binned``) read those codes' ``row_counts``, and a column
+passed through keeps those codes, so the two kinds of candidate cannot be
+counted apart.
 
 The bin edges are Spark's ``percentile_approx`` edges, replayed on the
 driver (``repro.core.quantiles``) over the collected doubles of the input
@@ -33,15 +39,16 @@ broadcast left join keeps the input's rows, partitions and order: the
 replay sees the stream Spark's sketch would see over the joined lineage.
 It must stay bit-exact, since the golden explanations were computed with
 Spark's own edges. The JVM spells the extracted doubles that pass through
-unbinned (``String.valueOf``, which is ``CAST(x AS STRING)``), with no
-Spark job, so the KG relations never enter a job on the prepare path.
+unbinned (``spell_doubles``: ``String.valueOf``, which is ``CAST(x AS
+STRING)``), with no Spark job, so the KG relations never enter a job on
+the prepare path.
 
 The coded table is then built on the driver: ``query.bin_numeric`` (the
 driver spelling of ``bin_sql``) bins each binned input column from its
 doubles and each binned extracted attribute once over its entities'
-values, and every extracted attribute is coded once per entity and
-gathered per row by the row's entity. Selection-bias detection, the
-propensity fit and stages 6–7 count on the driver and run no Spark job.
+values; every extracted attribute is then gathered per row by the row's
+entity. Selection-bias detection, the propensity fit and stages 6–7 count
+on the driver and run no Spark job.
 After ``apply_context`` and the raw collect, ``_prepare`` (so a cold
 ``explain``) builds no DataFrame: ``prep.df``, the joined lineage with the
 bin and weight columns, is built from what prepare holds on its first
@@ -62,7 +69,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.core.contingency import CodedTable, first_seen, label_sql, scan_counts
 from repro.core.mcimr import ExplanationResult, mcimr
@@ -77,7 +83,6 @@ from repro.core.query import (
     BIN_SUFFIX,
     NATIVE_TYPES,
     AggQuery,
-    Binning,
     apply_context,
     bin_numeric,
     bin_sql,
@@ -176,7 +181,7 @@ class PreparedQuery:
 
     context: DataFrame  # the input after ``apply_context``
     extractions: list[Extracted]
-    edges: dict[str, list[float]]  # ``Binning.edges``
+    edges: dict[str, list[float]]  # ``ensure_binned``'s
     table: CodedTable
     o_bin: str
     t: str
@@ -250,24 +255,34 @@ def _row_entities(raw: CodedTable, col: str, ex: Extraction) -> np.ndarray:
     return of_label[raw.codes[col]]
 
 
-def _entity_codes(
-    values: pd.Series, col: str, binning: Binning
-) -> tuple[np.ndarray, np.ndarray]:
-    """An extracted attribute coded once per entity (``-1``: null): its bin,
-    or its value labelled as Spark prints it. A double is coded by its bit
-    pattern, so ``-0.0`` and ``0.0`` stay apart as in ``CAST(x AS
-    STRING)``."""
-    if col in binning.edges:
-        return bin_numeric(values.to_numpy(np.float64), binning.edges[col])
-    if col not in binning.labels:  # a string attribute
-        ent_codes, uniques = pd.factorize(values)
-        return ent_codes, np.array(uniques, dtype=object)
-    x = values.to_numpy(np.float64)
-    seen = ~np.isnan(x)
-    ent_codes = np.full(len(x), -1, dtype=np.int64)
-    ent_codes[seen], uniques = pd.factorize(double_bits(x[seen]))
-    spelled = binning.labels[col]
-    return ent_codes, np.array([spelled[b] for b in uniques.tolist()], dtype=object)
+def entity_table(wide: pd.DataFrame, attrs: list[str]) -> CodedTable:
+    """The universal relation coded once per entity (``-1``: null): a string
+    attribute by its value, a double by its ``double_bits``, so ``-0.0`` and
+    ``0.0`` stay apart as in ``CAST(x AS STRING)``. Each attribute's labels
+    are its observed strings or bit patterns, so ``row_counts`` reads its
+    exact counts over the entities."""
+    codes: dict[str, np.ndarray] = {}
+    labels: dict[str, np.ndarray] = {}
+    for a in attrs:
+        if wide[a].dtype == np.float64:
+            x = wide[a].to_numpy()
+            arr = pa.array(double_bits(x), mask=np.isnan(x))
+        else:
+            arr = pa.array(wide[a], type=pa.string())
+        enc = pc.dictionary_encode(arr)
+        codes[a] = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
+        labels[a] = enc.dictionary.to_numpy(zero_copy_only=False)
+    return CodedTable(codes, labels, {}, len(wide))
+
+
+def spell_doubles(spark: SparkSession, bits: np.ndarray) -> np.ndarray:
+    """The doubles with bit patterns ``bits`` as the JVM's ``String.valueOf``
+    spells them, which is Spark's ``CAST(x AS STRING)`` (Python cannot spell
+    a double the way the JVM does, e.g. ``1.0E7``): one py4j call each."""
+    value_of = spark.sparkContext._jvm.java.lang.String.valueOf
+    return np.array(
+        [value_of(x) for x in bits.view(np.float64).tolist()], dtype=object
+    )
 
 
 class Mesa:
@@ -342,9 +357,12 @@ class Mesa:
         bins = min(cfg.bins, max(3, n_ctx // 60))
         timings["context"] = time.perf_counter() - t0
 
-        # Extraction + entity-level offline pruning.
+        # Extraction: every KG attribute coded once per entity, then
+        # entity-level offline pruning on those codes.
         t0 = time.perf_counter()
         extractions: list[Extracted] = []
+        entities: dict[str, CodedTable] = {}
+        kg_doubles: set[str] = set()  # prefixed
         offline_report = PruneReport()
         n_extracted_raw = 0
         multi = len(extraction_cols) > 1
@@ -360,10 +378,14 @@ class Mesa:
             n_extracted_raw += len(ex.attrs)
             attrs = ex.attrs
             prefix = f"{col}__" if multi else ""
+            entities[col] = entity_table(ex.wide, attrs)
+            doubles_of = {a for a in attrs if ex.wide[a].dtype == np.float64}
+            kg_doubles |= {prefix + a for a in doubles_of}
             if cfg.offline_pruning:
                 attrs, rep = offline_prune_entity(
-                    ex.wide,
+                    entities[col],
                     attrs,
+                    doubles_of,
                     max_missing=cfg.max_missing,
                     unique_ratio=cfg.unique_ratio,
                 )
@@ -376,14 +398,14 @@ class Mesa:
         candidates_initial = len(input_cands) + max(
             n_extracted_raw, len(extracted_cols)
         )
-        # Offline pruning of input-table candidates (row level), decided
-        # from the raw collect's exact counts.
+        # Offline pruning of input-table candidates (row level), by the
+        # same rule over the raw collect's codes.
         t0 = time.perf_counter()
         if cfg.offline_pruning and input_cands:
             input_cands, rep = offline_row_decide(
-                ctx,
-                input_cands,
                 raw,
+                input_cands,
+                doubles,
                 max_missing=cfg.max_missing,
                 unique_ratio=cfg.unique_ratio,
             )
@@ -394,58 +416,62 @@ class Mesa:
         # Bin edges on the driver, replaying Spark's percentile sketch over
         # the raw collect's doubles and, for an extracted attribute, its
         # entities' values gathered per row: the rows, partitions and order
-        # of the joined lineage. An extracted attribute is a function of its
-        # entity, so its distinct count is its universal relation's. Input
-        # columns with at most ``bins`` values pass through with the raw
-        # collect's labels and are not handed over at all. Column types come
-        # from the context and from the relations' dtypes (double or string).
+        # of the joined lineage. Distinct counts come from the codes: the
+        # raw collect's for an input column, the entity table's for an
+        # extracted attribute (a function of its entity).
         t0 = time.perf_counter()
         distinct = {c: row_counts(raw, c)[1] for c in [o, *input_cands]}
         values = dict(doubles)
-        schema = T.StructType(list(ctx.schema.fields))
         row_entity = {col: _row_entities(raw, col, ex) for col, ex, _, _ in extractions}
         for col, ex, attrs, p in extractions:
             for a in attrs:
-                distinct[p + a] = int(ex.wide[a].nunique())
-                if ex.wide[a].dtype == np.float64:
-                    schema.add(p + a, T.DoubleType())
+                distinct[p + a] = row_counts(entities[col], a)[1]
+                if p + a in kg_doubles:
                     values[p + a] = np.append(ex.wide[a].to_numpy(), np.nan)[
                         row_entity[col]
                     ]
-                else:
-                    schema.add(p + a, T.StringType())
-        binning = ensure_binned(
-            schema,
-            [c for c in [o, *input_cands] if distinct[c] > bins] + extracted_cols,
+        edges = ensure_binned(
+            [o, *input_cands, *extracted_cols],
             bins=bins,
             distinct=distinct,
             values=values,
             partition=partition,
         )
-        o_bin = binning.mapping.get(o, o)
+
+        def analysis(c: str) -> str:
+            return c + BIN_SUFFIX if c in edges else c
+
+        o_bin = analysis(o)
         all_cands = input_cands + extracted_cols
-        analysis_cols = [binning.mapping.get(c, c) for c in all_cands]
-        extracted_analysis = [binning.mapping[c] for c in extracted_cols]
+        analysis_cols = [analysis(c) for c in all_cands]
+        extracted_analysis = [analysis(c) for c in extracted_cols]
         timings["binning"] = time.perf_counter() - t0
 
         # Coding on the driver: the table Spark's collect of the binned
-        # lineage would give, row for row.
+        # lineage would give, row for row. An extracted attribute is binned
+        # or labelled once per entity and gathered per row; only the doubles
+        # that pass through are spelled by the JVM.
         t0 = time.perf_counter()
         codes: dict[str, np.ndarray] = {}
         labels: dict[str, np.ndarray] = {}
         for c in [o, t_col, *input_cands]:
-            a = binning.mapping.get(c, c)
-            if c in binning.edges:
-                codes[a], labels[a] = first_seen(
-                    *bin_numeric(doubles[c], binning.edges[c])
+            if c in edges:
+                codes[analysis(c)], labels[analysis(c)] = first_seen(
+                    *bin_numeric(doubles[c], edges[c])
                 )
             else:
-                codes[a], labels[a] = raw.codes[c], raw.labels[c]
+                codes[c], labels[c] = raw.codes[c], raw.labels[c]
         for col, ex, attrs, prefix in extractions:
+            ent = entities[col]
             for a in attrs:
-                ent_codes, ent_labels = _entity_codes(ex.wide[a], prefix + a, binning)
-                c = binning.mapping[prefix + a]
-                codes[c], labels[c] = first_seen(
+                c = prefix + a
+                if c in edges:
+                    ent_codes, ent_labels = bin_numeric(ex.wide[a].to_numpy(), edges[c])
+                else:
+                    ent_codes, ent_labels = ent.codes[a], ent.labels[a]
+                    if c in kg_doubles:
+                        ent_labels = spell_doubles(self.spark, ent_labels)
+                codes[analysis(c)], labels[analysis(c)] = first_seen(
                     np.append(ent_codes, -1)[row_entity[col]], ent_labels
                 )
         table = CodedTable(codes, labels, {}, n_ctx)
@@ -465,7 +491,6 @@ class Mesa:
                 table,
                 extracted_analysis,
                 o_bin=o_bin,
-                t=t_col,
                 features=[o_bin],
                 alpha=cfg.alpha,
                 eps_bits=cfg.eps_bits / 2,
@@ -474,7 +499,7 @@ class Mesa:
         return PreparedQuery(
             context=ctx,
             extractions=extractions,
-            edges=binning.edges,
+            edges=edges,
             table=table,
             o_bin=o_bin,
             t=t_col,

@@ -4,11 +4,13 @@ Two families, exactly as the paper stages them:
 
 * **Offline (across-queries, pre-processing)** — drop attributes that can
   never be interesting explanations: constant value, >90% missing values,
-  or near-unique "id-like" high-entropy columns (WIKIID). Runs at the
-  entity level on the extracted universal relation (cheap pandas) and at
-  the row level for input-table candidates (exact non-null and distinct
-  counts over collected labels: ``Mesa.prepare`` reads them off its raw
-  collect of the context).
+  or near-unique "id-like" high-entropy columns (WIKIID). One rule,
+  ``offline_row_decide``, reads exact non-null and distinct counts off a
+  dictionary-coded table: at the row level for input-table candidates
+  (``Mesa.prepare``'s raw collect of the context), and at the entity level
+  for extracted attributes (the universal relation coded once per entity,
+  doubles by bit pattern, so ``-0.0`` and ``0.0`` count as two values at
+  both levels, as Spark's ``CAST(x AS STRING)`` spells them).
 * **Online (query-specific)** — once O and T are known: drop attributes
   logically dependent on T or O (approximate FDs, ``H(T|E) ≈ H(E|T) ≈ 0``)
   and attributes with low individual relevance (``O ⟂ E | C`` and
@@ -18,7 +20,7 @@ Two families, exactly as the paper stages them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 import pandas as pd
@@ -48,56 +50,25 @@ class PruneReport:
         return out
 
 
-def offline_prune_entity(
-    wide: pd.DataFrame,
-    attrs: list[str],
-    *,
-    max_missing: float = 0.9,
-    unique_ratio: float = 0.95,
-) -> tuple[list[str], PruneReport]:
-    """Offline pruning on the entity-level universal relation."""
-    report = PruneReport()
-    kept: list[str] = []
-    n = len(wide)
-    for a in attrs:
-        col = wide[a]
-        observed = col.dropna()
-        if n and len(observed) < (1 - max_missing) * n:
-            report.drop(a, "missing")
-            continue
-        nunique = observed.nunique()
-        if nunique <= 1:
-            report.drop(a, "constant")
-            continue
-        # High-entropy/near-unique pruning targets *id-like string*
-        # columns (WIKIID). Continuous measurements are naturally unique
-        # per entity and get binned downstream — never prune those.
-        is_num = pd.api.types.is_numeric_dtype(col)
-        if not is_num and len(observed) > 2 and nunique >= unique_ratio * len(
-            observed
-        ):
-            report.drop(a, "high_entropy")
-            continue
-        kept.append(a)
-    return kept, report
-
-
 def row_counts(table: CodedTable, attr: str) -> tuple[int, int]:
     """``attr``'s exact non-null and distinct counts in ``table``, a fresh
-    collect (whose labels are exactly the observed values)."""
+    coding (whose labels are exactly the observed values)."""
     return int(np.count_nonzero(table.codes[attr] >= 0)), len(table.labels[attr])
 
 
 def offline_row_decide(
-    df: DataFrame,
-    attrs: Sequence[str],
     table: CodedTable,
+    attrs: Sequence[str],
+    numeric: Container[str],
     *,
     max_missing: float = 0.9,
     unique_ratio: float = 0.95,
 ) -> tuple[list[str], PruneReport]:
-    """Offline pruning of row-level candidates from their ``row_counts``
-    in ``table``, a collect of ``df`` (which supplies the column types)."""
+    """The offline rule, from each attribute's ``row_counts`` over the rows
+    of ``table``: the context's rows for input-table candidates, the
+    universal relation's entities for extracted ones. Drops an attribute
+    that is missing on more than ``max_missing`` of the rows, constant, or
+    (when not in ``numeric``) id-like."""
     report = PruneReport()
     kept: list[str] = []
     n = table.n_rows
@@ -108,7 +79,10 @@ def offline_row_decide(
         elif n_dist <= 1:
             report.drop(a, "constant")
         elif (
-            not is_numeric(df, a)  # see offline_prune_entity: ids only
+            # High-entropy/near-unique pruning targets *id-like string*
+            # columns (WIKIID). Continuous measurements are naturally
+            # unique and get binned downstream — never prune those.
+            a not in numeric
             and n_obs > 2
             and n_dist >= unique_ratio * n_obs
         ):
@@ -116,6 +90,22 @@ def offline_row_decide(
         else:
             kept.append(a)
     return kept, report
+
+
+def offline_prune_entity(
+    entities: CodedTable,
+    attrs: Sequence[str],
+    numeric: Container[str],
+    *,
+    max_missing: float = 0.9,
+    unique_ratio: float = 0.95,
+) -> tuple[list[str], PruneReport]:
+    """Offline pruning of extracted attributes on the universal relation
+    coded once per entity (``Mesa``'s ``entity_table``): ``offline_row_decide``
+    over its entities; ``numeric`` names the double attributes."""
+    return offline_row_decide(
+        entities, attrs, numeric, max_missing=max_missing, unique_ratio=unique_ratio
+    )
 
 
 def offline_prune_rows(
@@ -126,13 +116,13 @@ def offline_prune_rows(
     unique_ratio: float = 0.95,
 ) -> tuple[list[str], PruneReport]:
     """Offline pruning of row-level candidates: one collect of ``attrs``,
-    then ``offline_row_decide``, the counts ``Mesa.prepare`` uses."""
+    then ``offline_row_decide``, the rule ``Mesa.prepare`` applies."""
     if not attrs:
         return [], PruneReport()
     return offline_row_decide(
-        df,
-        attrs,
         CodedTable.collect(df, attrs),
+        attrs,
+        {a for a in attrs if is_numeric(df, a)},
         max_missing=max_missing,
         unique_ratio=unique_ratio,
     )

@@ -9,19 +9,18 @@ against DuckDB by the tests via ``repro.oracle.assert_equivalent``).
 
 Numeric attributes are analyzed *binned* (the paper assumes binned
 numerics). This module owns the bin rule, in two spellings that must
-agree: ``bin_sql``, one SQL ``CASE`` over the edges with each edge as an
-exact double (so the assignment stays in the optimizer and costs one
-expression to build, not one Column call per edge), and ``bin_numeric``,
-the same rule over a numpy array on the driver (``np.searchsorted``).
-``ensure_binned`` decides what to bin from column types and the caller's
-exact distinct counts: categorical and small-domain columns pass through
-untouched and every wider numeric column gets ``quantile_edges`` of Spark's
-``percentile_approx``, replayed on the driver over the caller's collected
-doubles and partitions (``repro.core.quantiles``), and a ``__b`` analysis
-column. The JVM spells the doubles that pass through. It builds no
-DataFrame and runs no Spark job. ``Mesa.prepare`` codes its table with
-``bin_numeric`` over those edges; its prepared frame adds the ``bin_sql``
-columns in one ``withColumns`` when a reader first asks for it.
+agree: ``bin_numeric``, which bins a numpy array on the driver
+(``np.searchsorted``) and is how ``Mesa.prepare`` codes its table, and
+``bin_sql``, one SQL ``CASE`` over the edges with each edge as an exact
+double (one expression to build, not one Column call per edge), which
+only builds the bin columns of the prepared frame ``prep.df`` when a
+reader first asks for it. ``ensure_binned`` holds the
+one bin-or-pass-through decision: a column the caller has doubles for,
+with more distinct values than bins (the caller's exact counts), gets the
+``quantile_edges`` of Spark's ``percentile_approx``, replayed on the
+driver over those doubles and their partitions (``repro.core.quantiles``),
+and a ``__b`` analysis column; every other column passes through untouched.
+It builds no DataFrame and runs no Spark job.
 
 Expressions are built as SQL strings throughout: each ``pyspark.sql.
 functions`` call is a round trip to the JVM, and building ~40 aggregates
@@ -34,7 +33,7 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -223,63 +222,31 @@ def double_bits(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-@dataclass(frozen=True)
-class Binning:
-    """``ensure_binned``'s result.
-
-    ``mapping`` maps each column to its analysis column (``col__b`` when
-    binned, else ``col``); ``edges`` holds the binned columns' interior
-    edges; ``labels`` maps the ``double_bits`` of each value of a double
-    column passed through to Spark's ``CAST(x AS STRING)`` of it (Python
-    cannot spell a double the way the JVM does, e.g. ``1.0E7``)."""
-
-    mapping: dict[str, str]
-    edges: dict[str, list[float]]
-    labels: dict[str, dict[int, str]]
-
-
 def ensure_binned(
-    schema: T.StructType,
     cols: Sequence[str],
     *,
     bins: int = 8,
     distinct: Mapping[str, int],
     values: Mapping[str, np.ndarray],
     partition: np.ndarray,
-) -> Binning:
-    """Bin every numeric column in ``cols``; pass categoricals through.
+) -> dict[str, list[float]]:
+    """The interior bin edges of every numeric column in ``cols`` with more
+    than ``bins`` values; every other column passes through.
 
-    ``schema`` holds the type of every column in ``cols``, ``distinct`` the
-    exact distinct count of every numeric one, ``values`` its doubles (NaN
-    for null) in the row order of a collect of the frame, and ``partition``
-    each collected row's Spark partition (``partition_ids``). Columns with
-    at most ``bins`` values are treated as categorical codes and passed
-    through. The others get the ``quantile_edges`` of Spark's
+    A column is numeric when ``values`` holds its doubles (NaN for null) in
+    the row order of a collect of the frame; ``distinct`` holds its exact
+    distinct count and ``partition`` each collected row's Spark partition
+    (``partition_ids``). Columns with at most ``bins`` values are treated
+    as categorical codes. The others get the ``quantile_edges`` of Spark's
     ``percentile_approx`` at accuracy 1000, replayed on the driver
-    (``repro.core.quantiles``; NaN is excluded like null). Each value of a
-    double column passed through is spelled by the JVM's
-    ``String.valueOf``, which is ``CAST(x AS STRING)``. Runs no Spark job.
+    (``repro.core.quantiles``; NaN is excluded like null). A column with
+    edges is analysed as ``col + BIN_SUFFIX``, any other as itself. Runs no
+    Spark job.
     """
-    numeric = [c for c in cols if isinstance(schema[c].dataType, _NUMERIC_TYPES)]
-    wide = [c for c in numeric if distinct[c] > bins]
-    edges = {
+    return {
         c: quantile_edges(
             percentile_approx(values[c], partition, _probs(bins), _QUANTILE_ACCURACY)
         )
-        for c in wide
+        for c in cols
+        if c in values and distinct[c] > bins
     }
-    spelled = [
-        c
-        for c in numeric
-        if c not in edges and isinstance(schema[c].dataType, T.DoubleType)
-    ]
-    labels: dict[str, dict[int, str]] = {}
-    if spelled:
-        value_of = SparkSession.active().sparkContext._jvm.java.lang.String.valueOf
-        for c in spelled:
-            x = values[c]
-            bits = np.unique(double_bits(x[~np.isnan(x)]))
-            spelling = map(value_of, bits.view(np.float64).tolist())
-            labels[c] = dict(zip(bits.tolist(), spelling))
-    mapping = {c: c + BIN_SUFFIX if c in edges else c for c in cols}
-    return Binning(mapping, edges, labels)

@@ -412,7 +412,6 @@ def fig3_missing_robustness(
                 CodedTable.collect(df_m, [prep.o_bin, prep.t, *prep.candidates]),
                 targets,
                 o_bin=prep.o_bin,
-                t=prep.t,
                 features=[prep.o_bin],
             )
             res = mcimr(
@@ -468,7 +467,7 @@ def missingness_stats(
         )
         fracs = missing_fraction(prep.df, prep.extracted_attrs)
         biased = detect_selection_bias_batch(
-            prep.table, prep.extracted_attrs, o_bin=prep.o_bin, t=prep.t
+            prep.table, prep.extracted_attrs, o_bin=prep.o_bin
         )
         rows.append(
             {

@@ -56,14 +56,13 @@ def detect_selection_bias(
     attr: str,
     *,
     o_bin: str,
-    t: str,
     alpha: float = 0.05,
     eps_bits: float = 0.02,
 ) -> bool:
     """True iff the missingness of ``attr`` is associated with the outcome
     (:func:`detect_selection_bias_batch` for one attribute)."""
     return attr in detect_selection_bias_batch(
-        table, [attr], o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
+        table, [attr], o_bin=o_bin, alpha=alpha, eps_bits=eps_bits
     )
 
 
@@ -103,7 +102,6 @@ def detect_selection_bias_batch(
     attrs: list[str],
     *,
     o_bin: str,
-    t: str,
     alpha: float = 0.05,
     eps_bits: float = 0.02,
 ) -> set[str]:
@@ -118,10 +116,9 @@ def detect_selection_bias_batch(
     property is missing for an entity, hence for every one of its rows)
     and does not by itself bias the per-group conditionals — so, like the
     paper's 13–29%-of-attributes statistic implies, only O-association
-    flags an attribute. ``eps_bits`` is the practical effect floor on the
-    bias-corrected MI.
+    flags an attribute, and the exposure is not an input. ``eps_bits`` is
+    the practical effect floor on the bias-corrected MI.
     """
-    del t  # kept for signature stability; see above
     if not attrs:
         return set()
     ind = {a: f"__r{i}" for i, a in enumerate(attrs)}
@@ -227,7 +224,6 @@ def prepare_weights(
     attrs: list[str],
     *,
     o_bin: str,
-    t: str,
     features: list[str],
     alpha: float = 0.05,
     eps_bits: float = 0.005,
@@ -246,7 +242,7 @@ def prepare_weights(
     if not attrs:
         return table, {}, set()
     biased = detect_selection_bias_batch(
-        table, attrs, o_bin=o_bin, t=t, alpha=alpha, eps_bits=eps_bits
+        table, attrs, o_bin=o_bin, alpha=alpha, eps_bits=eps_bits
     )
     if not biased:
         return table, {}, set()

@@ -572,6 +572,31 @@ class TestPrepare:
         finally:
             prep.df.unpersist()
 
+    def test_signed_zero_counts_as_two_values_when_binning(self, spark):
+        """An extracted double with ``bins`` + 1 bit patterns, two of them
+        −0.0 and 0.0, has ``bins`` + 1 distinct values, as in the frame's
+        ``CAST(x AS STRING)``, so it is binned, not passed through with
+        ``bins`` + 1 labels (240 rows: 4 bins)."""
+        cities = [f"c{i}" for i in range(10)]
+        kg = KnowledgeGraph()
+        for i, c in enumerate(cities):
+            kg.add_entity(f"E{i}", c)
+            kg.add_literal(f"E{i}", "z", [-0.0, 0.0, 1.5, 2.5, 3.5][i % 5])
+        rng = np.random.default_rng(17)
+        rows = [
+            (str(rng.choice(["a", "b"])), float(rng.normal()), cities[i % 10])
+            for i in range(240)
+        ]
+        df = spark.createDataFrame(rows, "t string, o double, city string")
+        prep = Mesa(spark).prepare(df, AggQuery(t="t", o="o"), kg, ["city"])
+        try:
+            assert prep.bins == 4
+            assert "z__b" in prep.candidates and "z" not in prep.candidates
+            assert_table_matches_frame(prep)
+            assert_bins_match_spark(prep)
+        finally:
+            prep.df.unpersist()
+
     def test_frame_weights_equal_table_weights(self, so_prepared):
         _, prep, _ = so_prepared
         o = prep.o_bin

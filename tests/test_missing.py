@@ -109,11 +109,11 @@ class TestDetection:
         mnar = base.withColumn(
             "e", F.when(F.col("o_bin") < 2, F.col("e"))
         )
-        assert detect_selection_bias(coded(mnar), "e", o_bin="o_bin", t="t")
+        assert detect_selection_bias(coded(mnar), "e", o_bin="o_bin")
 
     def test_mcar_not_detected(self, base):
         mcar = remove_mcar(base, "e", 0.3, seed=3)
-        assert not detect_selection_bias(coded(mcar), "e", o_bin="o_bin", t="t")
+        assert not detect_selection_bias(coded(mcar), "e", o_bin="o_bin")
 
     def test_exposure_only_dependence_not_flagged(self, spark):
         """Prop 3.1's conditions concern O-dependence: a missingness
@@ -131,9 +131,7 @@ class TestDetection:
         )
         df = spark.createDataFrame(pdf)
         mnar_t = df.withColumn("e", F.when(F.col("t") != "a", F.col("e")))
-        assert not detect_selection_bias(
-            coded(mnar_t), "e", o_bin="o_bin", t="t"
-        )
+        assert not detect_selection_bias(coded(mnar_t), "e", o_bin="o_bin")
 
 
 def _cell_weights(df, attr, feature):
@@ -222,7 +220,6 @@ class TestIPWCorrection:
             CodedTable.collect(df, ["t", "o_bin", "e"]),
             ["e"],
             o_bin="o_bin",
-            t="t",
             features=["t", "o_bin"],
         )
         assert "e" in biased
@@ -233,7 +230,6 @@ class TestIPWCorrection:
             CodedTable.collect(base, ["t", "o_bin", "e"]),
             ["e"],
             o_bin="o_bin",
-            t="t",
             features=["t"],
         )
         assert weights == {} and biased == set()
@@ -267,7 +263,7 @@ class TestCodedIPW:
     def test_detection_matches_spark_indicator_scan(self, missing_frames, name, want):
         df = missing_frames[name]
         table = CodedTable.collect(df, ["o_bin", "t", "e"])
-        got = detect_selection_bias_batch(table, ["e"], o_bin="o_bin", t="t")
+        got = detect_selection_bias_batch(table, ["e"], o_bin="o_bin")
         assert got == spark_detection(df, ["e"], o_bin="o_bin")
         assert got == ({"e"} if want else set())
 
@@ -278,7 +274,6 @@ class TestCodedIPW:
             CodedTable.collect(df, ["o_bin", "t", "e"]),
             ["e"],
             o_bin="o_bin",
-            t="t",
             features=["o_bin"],
         )
         assert biased == {"e"}

@@ -4,12 +4,15 @@ import pandas as pd
 import pytest
 
 from repro.core.contingency import CodedTable, scan_counts
+from repro.core.mesa import Mesa, display_name, entity_table
 from repro.core.pruning import (
     offline_prune_entity,
     offline_prune_rows,
     online_prune,
     row_counts,
 )
+from repro.core.query import AggQuery
+from repro.kg.graph import KnowledgeGraph
 
 
 @pytest.fixture(scope="module")
@@ -27,34 +30,45 @@ def wide():
     )
 
 
+@pytest.fixture(scope="module")
+def entities(wide):
+    """``wide`` as ``Mesa`` codes a universal relation, once per entity,
+    and the names of its double attributes."""
+    table = entity_table(wide, list(wide.columns))
+    return table, {c for c in wide.columns if wide[c].dtype == np.float64}
+
+
+def _prune_entities(entities, attrs, **kwargs):
+    table, numeric = entities
+    return offline_prune_entity(table, attrs, numeric, **kwargs)
+
+
 class TestOfflineEntity:
-    def test_constant_dropped(self, wide):
-        kept, rep = offline_prune_entity(wide, list(wide.columns))
+    def test_constant_dropped(self, wide, entities):
+        kept, rep = _prune_entities(entities, list(wide.columns))
         assert "const" not in kept
         assert rep.dropped["const"] == "constant"
 
-    def test_unique_id_dropped(self, wide):
-        kept, rep = offline_prune_entity(wide, list(wide.columns))
+    def test_unique_id_dropped(self, wide, entities):
+        kept, rep = _prune_entities(entities, list(wide.columns))
         assert "wikiid" not in kept
         assert rep.dropped["wikiid"] == "high_entropy"
 
-    def test_mostly_missing_dropped(self, wide):
-        kept, rep = offline_prune_entity(wide, list(wide.columns))
+    def test_mostly_missing_dropped(self, wide, entities):
+        kept, rep = _prune_entities(entities, list(wide.columns))
         assert "mostly_missing" not in kept
         assert rep.dropped["mostly_missing"] == "missing"
 
-    def test_ordinary_attrs_kept(self, wide):
-        kept, _ = offline_prune_entity(wide, list(wide.columns))
+    def test_ordinary_attrs_kept(self, wide, entities):
+        kept, _ = _prune_entities(entities, list(wide.columns))
         assert "half_missing" in kept
-        # hdi is continuous and unique-ish per entity: by the 0.95 rule it
-        # looks id-like at the entity level — the paper bins numerics before
-        # analysis, and entity-level numeric uniqueness is expected; callers
-        # pass unique_ratio=1.01 to keep continuous measurements:
-        kept2, _ = offline_prune_entity(wide, ["hdi"], unique_ratio=1.01)
+        # hdi is continuous and unique per entity; only id-like strings
+        # are pruned as high-entropy, at any unique_ratio:
+        kept2, _ = _prune_entities(entities, ["hdi"], unique_ratio=1.01)
         assert kept2 == ["hdi"]
 
-    def test_report_reasons_counts(self, wide):
-        _, rep = offline_prune_entity(wide, list(wide.columns))
+    def test_report_reasons_counts(self, wide, entities):
+        _, rep = _prune_entities(entities, list(wide.columns))
         assert rep.reasons()["constant"] == 1
 
 
@@ -99,6 +113,68 @@ class TestOfflineRows:
         kept, rep = offline_prune_rows(df, [])
         assert kept == []
         assert rep.dropped == {}
+
+
+class TestOfflineLevelsAgree:
+    """One offline rule at both levels: the same value columns, pruned as
+    input-table candidates and as KG attributes of one entity per row,
+    give the same kept list and the same reasons."""
+
+    def test_same_decisions(self, spark):
+        n = 240
+        rng = np.random.default_rng(11)
+        values = {
+            "const": ["Country"] * n,
+            "hdi": rng.random(n).tolist(),
+            "mostly_missing": [float(i) if i % 20 == 0 else None for i in range(n)],
+            "wikiid": [f"Q{i}" for i in range(n)],
+            "zero": [-0.0 if i % 2 else 0.0 for i in range(n)],
+        }
+        kg = KnowledgeGraph()
+        for i in range(n):
+            kg.add_entity(f"E{i}", f"k{i}")
+            for c, vs in values.items():
+                if vs[i] is not None:
+                    kg.add_literal(f"E{i}", "kg_" + c, vs[i])
+        rows = [
+            (
+                f"k{i}",
+                str(rng.choice(["a", "b"])),
+                float(rng.normal()),
+                *(vs[i] for vs in values.values()),
+            )
+            for i in range(n)
+        ]
+        df = spark.createDataFrame(
+            rows,
+            "key string, t string, o double, const string, hdi double, "
+            "mostly_missing double, wikiid string, zero double",
+        )
+        prep = Mesa(spark).prepare(
+            df, AggQuery(t="t", o="o"), kg, ["key"], exclude={"key"}
+        )
+        try:
+            kept = [display_name(c) for c in prep.candidates]
+            dropped = prep.offline_report.dropped
+            input_level = (
+                [c for c in kept if c in values],
+                {c: r for c, r in dropped.items() if c in values},
+            )
+            kg_level = (
+                [c[3:] for c in kept if c.startswith("kg_")],
+                {c[3:]: r for c, r in dropped.items() if c.startswith("kg_")},
+            )
+            assert kg_level == input_level
+            assert input_level == (
+                ["hdi", "zero"],
+                {
+                    "const": "constant",
+                    "mostly_missing": "missing",
+                    "wikiid": "high_entropy",
+                },
+            )
+        finally:
+            prep.df.unpersist()
 
 
 @pytest.fixture(scope="module")

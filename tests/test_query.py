@@ -8,6 +8,7 @@ import pyarrow.compute as pc
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.mesa import entity_table, spell_doubles
 from repro.core.quantiles import percentile_approx
 from repro.core.query import (
     BIN_SUFFIX,
@@ -133,7 +134,6 @@ def _replay_inputs(df, cols):
 
 def _ensure_binned(df, cols, bins):
     return ensure_binned(
-        df.schema,
         cols,
         bins=bins,
         distinct=_distinct(df, cols),
@@ -141,12 +141,17 @@ def _ensure_binned(df, cols, bins):
     )
 
 
-def _with_bins(df, b):
-    """``df`` plus ``bin_sql`` over ``b.edges``, the bin columns the
-    prepared frame adds."""
+def _with_bins(df, edges):
+    """``df`` plus ``bin_sql`` over ``ensure_binned``'s ``edges``, the bin
+    columns the prepared frame adds."""
     return df.withColumns(
-        {c + BIN_SUFFIX: F.expr(bin_sql(c, e)) for c, e in b.edges.items()}
+        {c + BIN_SUFFIX: F.expr(bin_sql(c, e)) for c, e in edges.items()}
     )
+
+
+def _mapping(cols, edges):
+    """Each column's analysis column: ``col + BIN_SUFFIX`` when it has edges."""
+    return {c: c + BIN_SUFFIX if c in edges else c for c in cols}
 
 
 class TestBinning:
@@ -188,22 +193,28 @@ class TestBinning:
         assert not is_numeric(li, "l_returnflag")
 
     def test_ensure_binned_passthrough_categorical(self, li):
-        b = _ensure_binned(li, ["l_returnflag", "l_extendedprice"], 4)
-        assert b.mapping["l_returnflag"] == "l_returnflag"
-        assert b.mapping["l_extendedprice"] == "l_extendedprice__b"
-        assert "l_extendedprice__b" in _with_bins(li, b).columns
+        cols = ["l_returnflag", "l_extendedprice"]
+        edges = _ensure_binned(li, cols, 4)
+        assert _mapping(cols, edges)["l_returnflag"] == "l_returnflag"
+        assert _mapping(cols, edges)["l_extendedprice"] == "l_extendedprice__b"
+        assert "l_extendedprice__b" in _with_bins(li, edges).columns
 
     def test_ensure_binned_small_domain_numeric_passthrough(self, li):
         # l_linenumber has 7 distinct values <= bins=8: keep as-is.
-        b = _ensure_binned(li, ["l_linenumber"], 8)
-        assert b.mapping["l_linenumber"] == "l_linenumber"
+        edges = _ensure_binned(li, ["l_linenumber"], 8)
+        assert _mapping(["l_linenumber"], edges)["l_linenumber"] == "l_linenumber"
 
 
 def _bins_of(df, col, bins):
     """``col``'s bin column (mapped name) from ``ensure_binned``, row-aligned
     with ``col`` via an explicit id ordering."""
-    b = _ensure_binned(df, [col], bins)
-    return _with_bins(df, b).orderBy("id").select(col, b.mapping[col]).toPandas()
+    edges = _ensure_binned(df, [col], bins)
+    return (
+        _with_bins(df, edges)
+        .orderBy("id")
+        .select(col, _mapping([col], edges)[col])
+        .toPandas()
+    )
 
 
 class TestFusedBinning:
@@ -233,22 +244,22 @@ class TestFusedBinning:
         spark.conf.set("spark.sql.adaptive.enabled", "false")
         sc.setJobGroup(group, "ensure_binned one-pass check")
         try:
-            b = ensure_binned(
-                df.schema, cols, bins=8, distinct=distinct, **_replay_inputs(df, cols)
+            edges = ensure_binned(
+                cols, bins=8, distinct=distinct, **_replay_inputs(df, cols)
             )
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
             spark.conf.set("spark.sql.adaptive.enabled", aqe)
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
-        assert b.mapping == {
+        assert _mapping(cols, edges) == {
             "w1": "w1__b",
             "w2": "w2__b",
             "w3": "w3__b",
             "small": "small",
             "cat": "cat",
         }
-        binned = _with_bins(df, b).columns
+        binned = _with_bins(df, edges).columns
         assert {"w1__b", "w2__b", "w3__b"} <= set(binned)
         assert "small__b" not in binned and "cat__b" not in binned
 
@@ -256,9 +267,9 @@ class TestFusedBinning:
         df = spark.createDataFrame(
             [(float(i), None) for i in range(50)], "x double, empty double"
         )
-        b = _ensure_binned(df, ["x", "empty"], 4)
-        assert b.mapping == {"x": "x__b", "empty": "empty"}
-        assert _with_bins(df, b).select("x__b").distinct().count() == 4
+        edges = _ensure_binned(df, ["x", "empty"], 4)
+        assert _mapping(["x", "empty"], edges) == {"x": "x__b", "empty": "empty"}
+        assert _with_bins(df, edges).select("x__b").distinct().count() == 4
 
     def test_nan_excluded_from_edges_and_binned_null(self, spark):
         # 80 finite values and 20 NaN: NaN-free quartiles cut 1..80 into
@@ -300,8 +311,8 @@ class TestFusedBinning:
             {"id": np.arange(n), "a": rng.normal(size=n), "b": rng.pareto(2.0, n)}
         )
         df = spark.createDataFrame(pdf).repartition(4)
-        b = _ensure_binned(df, ["a", "b"], bins)
-        out, mapping = _with_bins(df, b), b.mapping
+        edges = _ensure_binned(df, ["a", "b"], bins)
+        out, mapping = _with_bins(df, edges), _mapping(["a", "b"], edges)
         for c in ("a", "b"):
             # Edges are data values and bins are right-closed, so each
             # edge is the largest value of its bin.
@@ -464,13 +475,16 @@ class TestPercentileReplay:
             assert _bits(got) == _bits(want), (vals[:1], want, got)
 
     def test_jvm_spelling_equals_cast(self, spark):
-        """``ensure_binned`` labels a passed-through double by the JVM's
-        ``String.valueOf``, which equals Spark's cast."""
+        """A double that ``ensure_binned`` passes through is coded by its bit
+        pattern (``entity_table``) and labelled by the JVM's
+        ``String.valueOf`` (``spell_doubles``), which equals Spark's cast."""
         vals = [1e7, 1e-4, 1e23, -0.0, 0.0, float("inf"), float("-inf"), 2.5]
         df = spark.createDataFrame([(v,) for v in vals], "x double")
         want = [r[0] for r in df.selectExpr("CAST(x AS STRING)").collect()]
         value_of = spark.sparkContext._jvm.java.lang.String.valueOf
         assert [value_of(v) for v in vals] == want
-        b = _ensure_binned(df, ["x"], 8)
-        assert b.mapping == {"x": "x"}
-        assert b.labels["x"] == {_bits([v])[0]: s for v, s in zip(vals, want)}
+        edges = _ensure_binned(df, ["x"], 8)
+        assert _mapping(["x"], edges) == {"x": "x"}
+        bits = entity_table(pd.DataFrame({"x": vals}), ["x"]).labels["x"]
+        labels = dict(zip(bits.tolist(), spell_doubles(spark, bits)))
+        assert labels == {_bits([v])[0]: s for v, s in zip(vals, want)}

@@ -1,9 +1,10 @@
 """The benchmark tracer's step names wrap work a cold query really does.
 
-``mesabench/tracer.py`` reports ``query.binned_cols``, ``query.bin_s`` and
-``ipw.s`` from spans of ``bin_numeric``, ``quantile_edges``,
-``fit_propensity`` and ``add_ipw_weight``. A cold ``Mesa.explain`` with a
-binned column and a biased attribute must record each of them.
+``mesabench/tracer.py`` reports ``pruning.offline_s``, ``query.binned_cols``,
+``query.bin_s`` and ``ipw.s`` from spans of ``offline_prune_entity``,
+``ensure_binned``, ``bin_numeric``, ``quantile_edges``, ``fit_propensity``
+and ``add_ipw_weight``. A cold ``Mesa.explain`` with an extraction column,
+a binned column and a biased attribute must record each of them.
 """
 import importlib
 import importlib.util
@@ -17,6 +18,8 @@ from repro.datasets.so import make_so
 TRACER = Path(__file__).resolve().parents[1] / "mesabench" / "tracer.py"
 
 STEPS = (
+    "pruning.offline_prune_entity",
+    "query.ensure_binned",
     "query.bin_numeric",
     "query.quantile_edges",
     "ipw.fit_propensity",
